@@ -1,12 +1,12 @@
 package abstract
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
+	"math"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // State codec for sink-mode Streamers: the abstraction-layer piece of
@@ -36,123 +36,56 @@ func (s *Streamer) WriteState(w io.Writer) (int64, error) {
 	if st.emit == nil {
 		return 0, errors.New("abstract: only sink-mode streamers serialize state")
 	}
-	bw := bufio.NewWriter(w)
-	var total int64
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		m, err := bw.Write(buf[:n])
-		total += int64(m)
-		return err
-	}
-	putObj := func(o *Object) error {
-		heap := uint64(0)
-		if o.Heap {
-			heap = 1
+	ww := wire.NewWriter(w, absStateMagic)
+	putObj := func(o *Object) {
+		for _, v := range []uint64{o.Name, uint64(o.Base), uint64(o.Size), uint64(o.Site), o.Birth} {
+			ww.Uvarint(v)
 		}
-		for _, v := range []uint64{o.Name, uint64(o.Base), uint64(o.Size), uint64(o.Site), o.Birth, heap} {
-			if err := put(v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	n, err := bw.Write(absStateMagic[:])
-	total += int64(n)
-	if err != nil {
-		return total, err
+		ww.Bool(o.Heap)
 	}
 	for _, v := range []uint64{uint64(st.a.mode), uint64(st.a.depth), st.counter, st.nextID, st.res.StackRefs, st.res.UnknownRefs} {
-		if err := put(v); err != nil {
-			return total, err
-		}
+		ww.Uvarint(v)
 	}
-	// Heap map, sorted by name for a deterministic encoding.
-	names := make([]uint64, 0, len(st.res.Objects))
-	for name := range st.res.Objects {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	if err := put(uint64(len(names))); err != nil {
-		return total, err
-	}
+	// Heap map, then live intervals (already canonically ordered: sorted
+	// by base, bases unique), then the naming maps and the call stack.
+	// Maps travel sorted by key for a deterministic encoding.
+	names := sortedKeys(st.res.Objects)
+	ww.Uvarint(uint64(len(names)))
 	for _, name := range names {
-		if err := putObj(st.res.Objects[name]); err != nil {
-			return total, err
-		}
+		putObj(st.res.Objects[name])
 	}
-	// Live intervals, already canonically ordered (sorted by base,
-	// bases unique).
-	if err := put(uint64(len(st.live))); err != nil {
-		return total, err
-	}
+	ww.Uvarint(uint64(len(st.live)))
 	for _, iv := range st.live {
-		if err := putObj(iv.obj); err != nil {
-			return total, err
-		}
+		putObj(iv.obj)
 	}
-	// Naming maps, each sorted by key.
-	siteKeys := make([]uint32, 0, len(st.siteNames))
-	for k := range st.siteNames {
-		siteKeys = append(siteKeys, k)
-	}
-	sort.Slice(siteKeys, func(i, j int) bool { return siteKeys[i] < siteKeys[j] })
-	if err := put(uint64(len(siteKeys))); err != nil {
-		return total, err
-	}
-	for _, k := range siteKeys {
-		if err := put(uint64(k)); err != nil {
-			return total, err
-		}
-		if err := put(st.siteNames[k]); err != nil {
-			return total, err
-		}
-	}
-	ctxKeys := make([]uint64, 0, len(st.ctxNames))
-	for k := range st.ctxNames {
-		ctxKeys = append(ctxKeys, k)
-	}
-	sort.Slice(ctxKeys, func(i, j int) bool { return ctxKeys[i] < ctxKeys[j] })
-	if err := put(uint64(len(ctxKeys))); err != nil {
-		return total, err
-	}
-	for _, k := range ctxKeys {
-		if err := put(k); err != nil {
-			return total, err
-		}
-		if err := put(st.ctxNames[k]); err != nil {
-			return total, err
-		}
-	}
-	addrKeys := make([]uint32, 0, len(st.addrNames))
-	for k := range st.addrNames {
-		addrKeys = append(addrKeys, k)
-	}
-	sort.Slice(addrKeys, func(i, j int) bool { return addrKeys[i] < addrKeys[j] })
-	if err := put(uint64(len(addrKeys))); err != nil {
-		return total, err
-	}
-	for _, k := range addrKeys {
-		if err := put(uint64(k)); err != nil {
-			return total, err
-		}
-		if err := put(st.addrNames[k]); err != nil {
-			return total, err
-		}
-	}
-	// Call stack, in push order.
-	if err := put(uint64(len(st.callStack))); err != nil {
-		return total, err
-	}
+	writeNames(ww, st.siteNames)
+	writeNames(ww, st.ctxNames)
+	writeNames(ww, st.addrNames)
+	ww.Uvarint(uint64(len(st.callStack)))
 	for _, pc := range st.callStack {
-		if err := put(uint64(pc)); err != nil {
-			return total, err
-		}
+		ww.Uvarint(uint64(pc))
 	}
-	if err := bw.Flush(); err != nil {
-		return total, err
+	return ww.Close()
+}
+
+func sortedKeys[K uint32 | uint64, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return total, nil
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+// writeNames encodes one naming map as a count and sorted (key, name)
+// pairs.
+func writeNames[K uint32 | uint64](ww *wire.Writer, m map[K]uint64) {
+	keys := sortedKeys(m)
+	ww.Uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		ww.Uvarint(uint64(k))
+		ww.Uvarint(m[k])
+	}
 }
 
 // Mode reports the streamer's heap-naming mode.
@@ -170,131 +103,52 @@ func ReadStreamer(r io.Reader, emit func(name uint64, pc, addr uint32)) (*Stream
 	if emit == nil {
 		return nil, errors.New("abstract: ReadStreamer requires an emit sink")
 	}
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("abstract: reading state magic: %w", err)
-	}
-	if magic != absStateMagic {
-		return nil, fmt.Errorf("abstract: bad state magic %q", magic[:])
-	}
-	get := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("abstract: state %s: %w", what, err)
+	rd := wire.NewReader(r, "abstract: state", absStateMagic)
+	getObj := func() Object {
+		return Object{
+			Name:  rd.Uvarint("object name"),
+			Base:  rd.U32("object base"),
+			Size:  rd.U32("object size"),
+			Site:  rd.U32("object site"),
+			Birth: rd.Uvarint("object birth"),
+			Heap:  rd.Bool("object heap flag"),
 		}
-		return v, nil
-	}
-	getU32 := func(what string) (uint32, error) {
-		v, err := get(what)
-		if err != nil {
-			return 0, err
-		}
-		if v > 1<<32-1 {
-			return 0, fmt.Errorf("abstract: state %s %d overflows uint32", what, v)
-		}
-		return uint32(v), nil
-	}
-	getObj := func(what string) (Object, error) {
-		var o Object
-		var err error
-		if o.Name, err = get(what + " name"); err != nil {
-			return o, err
-		}
-		if o.Base, err = getU32(what + " base"); err != nil {
-			return o, err
-		}
-		if o.Size, err = getU32(what + " size"); err != nil {
-			return o, err
-		}
-		if o.Site, err = getU32(what + " site"); err != nil {
-			return o, err
-		}
-		if o.Birth, err = get(what + " birth"); err != nil {
-			return o, err
-		}
-		heap, err := get(what + " heap flag")
-		if err != nil {
-			return o, err
-		}
-		if heap > 1 {
-			return o, fmt.Errorf("abstract: state %s heap flag %d", what, heap)
-		}
-		o.Heap = heap == 1
-		return o, nil
 	}
 
-	mode, err := get("mode")
-	if err != nil {
-		return nil, err
-	}
-	if Mode(mode) > SiteContext {
-		return nil, fmt.Errorf("abstract: state names unknown mode %d", mode)
-	}
-	depth, err := get("context depth")
-	if err != nil {
-		return nil, err
-	}
-	if depth < 1 {
-		return nil, fmt.Errorf("abstract: state context depth %d", depth)
+	mode := rd.Count("mode", uint64(SiteContext))
+	depth := rd.Count("context depth", math.MaxInt32)
+	if rd.Err() == nil && depth < 1 {
+		rd.Failf("context depth %d", depth)
 	}
 	a := &Abstractor{mode: Mode(mode), depth: int(depth)}
 	st := a.newState(0)
 	st.emit = emit
-	if st.counter, err = get("allocation counter"); err != nil {
-		return nil, err
-	}
-	if st.nextID, err = get("next name"); err != nil {
-		return nil, err
-	}
-	if st.res.StackRefs, err = get("stack refs"); err != nil {
-		return nil, err
-	}
-	if st.res.UnknownRefs, err = get("unknown refs"); err != nil {
-		return nil, err
-	}
+	st.counter = rd.Uvarint("allocation counter")
+	st.nextID = rd.Uvarint("next name")
+	st.res.StackRefs = rd.Uvarint("stack refs")
+	st.res.UnknownRefs = rd.Uvarint("unknown refs")
 
-	const maxEntries = 1 << 31
-	nObjs, err := get("object count")
-	if err != nil {
-		return nil, err
-	}
-	if nObjs > maxEntries {
-		return nil, fmt.Errorf("abstract: implausible state object count %d", nObjs)
-	}
-	for i := uint64(0); i < nObjs; i++ {
-		o, err := getObj(fmt.Sprintf("object %d", i))
-		if err != nil {
-			return nil, err
+	// Nothing below is sized by a claimed count: maps and slices grow
+	// only as the input delivers entries.
+	n := rd.Uvarint("object count")
+	for i := uint64(0); i < n && rd.Err() == nil; i++ {
+		o := getObj()
+		if _, dup := st.res.Objects[o.Name]; dup {
+			rd.Failf("object name %d duplicated", o.Name)
 		}
 		if o.Name == 0 || o.Name >= st.nextID {
-			return nil, fmt.Errorf("abstract: state object name %d outside [1,%d)", o.Name, st.nextID)
-		}
-		if _, dup := st.res.Objects[o.Name]; dup {
-			return nil, fmt.Errorf("abstract: state object name %d duplicated", o.Name)
+			rd.Failf("object name %d outside [1,%d)", o.Name, st.nextID)
 		}
 		obj := st.newObject()
 		*obj = o
 		st.res.Objects[o.Name] = obj
 	}
-
-	nLive, err := get("live interval count")
-	if err != nil {
-		return nil, err
-	}
-	if nLive > maxEntries {
-		return nil, fmt.Errorf("abstract: implausible state live count %d", nLive)
-	}
-	prevBase, havePrev := uint32(0), false
-	for i := uint64(0); i < nLive; i++ {
-		o, err := getObj(fmt.Sprintf("live interval %d", i))
-		if err != nil {
-			return nil, err
+	n = rd.Uvarint("live interval count")
+	for i := uint64(0); i < n && rd.Err() == nil; i++ {
+		o := getObj()
+		if i > 0 && o.Base <= st.live[i-1].base {
+			rd.Failf("live intervals out of order at %d", i)
 		}
-		if havePrev && o.Base <= prevBase {
-			return nil, fmt.Errorf("abstract: state live intervals out of order at %d", i)
-		}
-		prevBase, havePrev = o.Base, true
 		obj := st.newObject()
 		*obj = o
 		// Reuse the heap-map instance when it is the same object, so
@@ -304,74 +158,24 @@ func ReadStreamer(r io.Reader, emit func(name uint64, pc, addr uint32)) (*Stream
 		}
 		st.live = append(st.live, interval{base: o.Base, limit: o.Base + o.Size, obj: obj})
 	}
-
-	nSites, err := get("site name count")
-	if err != nil {
+	readNames(rd, st.siteNames, rd.U32)
+	readNames(rd, st.ctxNames, rd.Uvarint)
+	readNames(rd, st.addrNames, rd.U32)
+	n = rd.Uvarint("call stack depth")
+	for i := uint64(0); i < n && rd.Err() == nil; i++ {
+		st.callStack = append(st.callStack, rd.U32("call stack entry"))
+	}
+	if err := rd.Err(); err != nil {
 		return nil, err
-	}
-	if nSites > maxEntries {
-		return nil, fmt.Errorf("abstract: implausible state site-name count %d", nSites)
-	}
-	for i := uint64(0); i < nSites; i++ {
-		k, err := getU32(fmt.Sprintf("site name %d key", i))
-		if err != nil {
-			return nil, err
-		}
-		v, err := get(fmt.Sprintf("site name %d value", i))
-		if err != nil {
-			return nil, err
-		}
-		st.siteNames[k] = v
-	}
-	nCtx, err := get("context name count")
-	if err != nil {
-		return nil, err
-	}
-	if nCtx > maxEntries {
-		return nil, fmt.Errorf("abstract: implausible state context-name count %d", nCtx)
-	}
-	for i := uint64(0); i < nCtx; i++ {
-		k, err := get(fmt.Sprintf("context name %d key", i))
-		if err != nil {
-			return nil, err
-		}
-		v, err := get(fmt.Sprintf("context name %d value", i))
-		if err != nil {
-			return nil, err
-		}
-		st.ctxNames[k] = v
-	}
-	nAddrs, err := get("address name count")
-	if err != nil {
-		return nil, err
-	}
-	if nAddrs > maxEntries {
-		return nil, fmt.Errorf("abstract: implausible state address-name count %d", nAddrs)
-	}
-	for i := uint64(0); i < nAddrs; i++ {
-		k, err := getU32(fmt.Sprintf("address name %d key", i))
-		if err != nil {
-			return nil, err
-		}
-		v, err := get(fmt.Sprintf("address name %d value", i))
-		if err != nil {
-			return nil, err
-		}
-		st.addrNames[k] = v
-	}
-	nStack, err := get("call stack depth")
-	if err != nil {
-		return nil, err
-	}
-	if nStack > maxEntries {
-		return nil, fmt.Errorf("abstract: implausible state call-stack depth %d", nStack)
-	}
-	for i := uint64(0); i < nStack; i++ {
-		pc, err := getU32(fmt.Sprintf("call stack entry %d", i))
-		if err != nil {
-			return nil, err
-		}
-		st.callStack = append(st.callStack, pc)
 	}
 	return &Streamer{st: st}, nil
+}
+
+// readNames decodes one naming map written by writeNames.
+func readNames[K uint32 | uint64](rd *wire.Reader, m map[K]uint64, key func(string) K) {
+	n := rd.Uvarint("name count")
+	for i := uint64(0); i < n && rd.Err() == nil; i++ {
+		k := key("name key")
+		m[k] = rd.Uvarint("name value")
+	}
 }

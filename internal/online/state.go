@@ -1,9 +1,7 @@
 package online
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -11,6 +9,7 @@ import (
 	"repro/internal/abstract"
 	"repro/internal/sequitur"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Engine state codec: the serialization behind session handoff in the
@@ -36,22 +35,33 @@ const engineStateVersion = 1
 // WriteState encodes the engine's full live state, returning the bytes
 // written. The engine remains usable afterwards.
 func (e *Engine) WriteState(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var total int64
-	var vbuf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(vbuf[:], v)
-		m, err := bw.Write(vbuf[:n])
-		total += int64(m)
-		return err
+	ww := wire.NewWriter(w, engineStateMagic)
+	for _, v := range e.opts.stateHeader() {
+		ww.Uvarint(v)
 	}
-	n, err := bw.Write(engineStateMagic[:])
-	total += int64(n)
-	if err != nil {
-		return total, err
+	for _, v := range []uint64{e.events, e.chunks, e.evictions} {
+		ww.Uvarint(v)
 	}
-	o := e.opts
-	for _, v := range []uint64{
+	// Each layer's state is a section framed with its length, so a layer
+	// decoder's buffered reader cannot consume into the next section.
+	var sec bytes.Buffer
+	for i, enc := range []func(io.Writer) (int64, error){e.acc.WriteState, e.abs.WriteState, e.g.WriteState} {
+		sec.Reset()
+		if _, err := enc(&sec); err != nil {
+			ww.Fail(fmt.Errorf("online: encoding %s state: %w", sectionNames[i], err))
+			break
+		}
+		ww.Uvarint(uint64(sec.Len()))
+		ww.Bytes(sec.Bytes())
+	}
+	return ww.Close()
+}
+
+var sectionNames = [3]string{"statistics", "abstraction", "grammar"}
+
+// stateHeader lists the analysis options in their encoded order.
+func (o Options) stateHeader() []uint64 {
+	return []uint64{
 		engineStateVersion,
 		uint64(o.HeapNaming),
 		uint64(o.MinStreamLen), uint64(o.MaxStreamLen),
@@ -60,40 +70,14 @@ func (e *Engine) WriteState(w io.Writer) (int64, error) {
 		uint64(o.BlockSize),
 		uint64(o.Sequitur.MinRuleOccurrences),
 		uint64(o.MaxRules),
-		e.events, e.chunks, e.evictions,
-	} {
-		if err := put(v); err != nil {
-			return total, err
-		}
 	}
-	// Each layer's state is framed with its length so the sub-codecs'
-	// buffered readers cannot consume into the next section.
-	var blob bytes.Buffer
-	writeBlob := func(what string, enc func(io.Writer) (int64, error)) error {
-		blob.Reset()
-		if _, err := enc(&blob); err != nil {
-			return fmt.Errorf("online: encoding %s state: %w", what, err)
-		}
-		if err := put(uint64(blob.Len())); err != nil {
-			return err
-		}
-		m, err := bw.Write(blob.Bytes())
-		total += int64(m)
-		return err
-	}
-	if err := writeBlob("statistics", e.acc.WriteState); err != nil {
-		return total, err
-	}
-	if err := writeBlob("abstraction", e.abs.WriteState); err != nil {
-		return total, err
-	}
-	if err := writeBlob("grammar", e.g.WriteState); err != nil {
-		return total, err
-	}
-	if err := bw.Flush(); err != nil {
-		return total, err
-	}
-	return total, nil
+}
+
+// headerFields names stateHeader's entries.
+var headerFields = [...]string{
+	"version", "heap naming", "min stream length", "max stream length",
+	"coverage target", "fixed heat multiple", "block size",
+	"min rule occurrences", "max rules",
 }
 
 // ReadEngine decodes an engine from its live-state form. opts must
@@ -103,148 +87,65 @@ func (e *Engine) WriteState(w io.Writer) (int64, error) {
 // exactly where the original stopped.
 func ReadEngine(r io.Reader, opts Options) (*Engine, error) {
 	opts.normalize()
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("online: reading engine state magic: %w", err)
-	}
-	if magic != engineStateMagic {
-		return nil, fmt.Errorf("online: bad engine state magic %q", magic[:])
-	}
-	get := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("online: engine state %s: %w", what, err)
+	rd := wire.NewReader(r, "online: engine state", engineStateMagic)
+	for i, want := range opts.stateHeader() {
+		got := rd.Uvarint(headerFields[i])
+		switch {
+		case rd.Err() != nil:
+		case i == 0 && got != want:
+			rd.Failf("version %d, this build supports %d", got, want)
+		case got != want:
+			rd.Failf("serialized with %s %s, restore requested %s",
+				headerFields[i], headerValue(i, got), headerValue(i, want))
 		}
-		return v, nil
 	}
-	version, err := get("version")
-	if err != nil {
-		return nil, err
-	}
-	if version != engineStateVersion {
-		return nil, fmt.Errorf("online: engine state version %d, this build supports %d", version, engineStateVersion)
-	}
-	var enc struct {
-		heapNaming                 uint64
-		minStreamLen, maxStreamLen uint64
-		coverageBits               uint64
-		fixedHeatMultiple          uint64
-		blockSize                  uint64
-		minRuleOccurrences         uint64
-		maxRules                   uint64
-	}
-	for _, f := range []struct {
-		name string
-		dst  *uint64
-	}{
-		{"heap naming", &enc.heapNaming},
-		{"min stream length", &enc.minStreamLen},
-		{"max stream length", &enc.maxStreamLen},
-		{"coverage target", &enc.coverageBits},
-		{"fixed heat multiple", &enc.fixedHeatMultiple},
-		{"block size", &enc.blockSize},
-		{"min rule occurrences", &enc.minRuleOccurrences},
-		{"max rules", &enc.maxRules},
-	} {
-		v, err := get(f.name)
-		if err != nil {
-			return nil, err
-		}
-		*f.dst = v
-	}
-	mismatch := func(what string, got, want any) error {
-		return fmt.Errorf("online: engine state was serialized with %s %v, restore requested %v", what, got, want)
-	}
-	if abstract.Mode(enc.heapNaming) != opts.HeapNaming {
-		return nil, mismatch("heap naming", abstract.Mode(enc.heapNaming), opts.HeapNaming)
-	}
-	if int(enc.minStreamLen) != opts.MinStreamLen {
-		return nil, mismatch("min stream length", enc.minStreamLen, opts.MinStreamLen)
-	}
-	if int(enc.maxStreamLen) != opts.MaxStreamLen {
-		return nil, mismatch("max stream length", enc.maxStreamLen, opts.MaxStreamLen)
-	}
-	if math.Float64frombits(enc.coverageBits) != opts.CoverageTarget {
-		return nil, mismatch("coverage target", math.Float64frombits(enc.coverageBits), opts.CoverageTarget)
-	}
-	if enc.fixedHeatMultiple != opts.FixedHeatMultiple {
-		return nil, mismatch("fixed heat multiple", enc.fixedHeatMultiple, opts.FixedHeatMultiple)
-	}
-	if int(enc.blockSize) != opts.BlockSize {
-		return nil, mismatch("block size", enc.blockSize, opts.BlockSize)
-	}
-	if int(enc.minRuleOccurrences) != opts.Sequitur.MinRuleOccurrences {
-		return nil, mismatch("min rule occurrences", enc.minRuleOccurrences, opts.Sequitur.MinRuleOccurrences)
-	}
-	if int(enc.maxRules) != opts.MaxRules {
-		return nil, mismatch("max rules", enc.maxRules, opts.MaxRules)
-	}
-
 	e := &Engine{opts: opts}
-	if e.events, err = get("event count"); err != nil {
-		return nil, err
-	}
-	if e.chunks, err = get("chunk count"); err != nil {
-		return nil, err
-	}
-	if e.evictions, err = get("eviction count"); err != nil {
-		return nil, err
-	}
+	e.events = rd.Uvarint("event count")
+	e.chunks = rd.Uvarint("chunk count")
+	e.evictions = rd.Uvarint("eviction count")
 
-	readBlob := func(what string, dec func(io.Reader) error) error {
-		n, err := get(what + " state length")
-		if err != nil {
-			return err
-		}
-		lr := io.LimitReader(br, int64(n))
-		if err := dec(lr); err != nil {
-			return fmt.Errorf("online: decoding %s state: %w", what, err)
-		}
-		// The decoder's buffered reader may not have drained its frame;
-		// skip to the frame boundary.
-		if _, err := io.Copy(io.Discard, lr); err != nil {
-			return fmt.Errorf("online: draining %s state: %w", what, err)
-		}
-		return nil
+	decoders := [3]func(io.Reader) error{
+		func(r io.Reader) (err error) { e.acc, err = trace.ReadStatsAccum(r); return err },
+		func(r io.Reader) (err error) { e.abs, err = abstract.ReadStreamer(r, e.appendName); return err },
+		func(r io.Reader) (err error) { e.g, err = sequitur.ReadState(r); return err },
 	}
-	if err := readBlob("statistics", func(r io.Reader) error {
-		acc, err := trace.ReadStatsAccum(r)
-		if err != nil {
-			return err
+	for i, dec := range decoders {
+		n := rd.Count(sectionNames[i]+" state length", math.MaxInt64)
+		if rd.Err() != nil {
+			break
 		}
-		e.acc = acc
-		return nil
-	}); err != nil {
-		return nil, err
+		// Offsets inside a section count from the section's first byte.
+		sec := io.LimitReader(rd, int64(n))
+		if err := dec(sec); err != nil {
+			rd.Failf("%s state section: %w", sectionNames[i], err)
+			break
+		}
+		// A layer decoder's buffered reader may stop short of the
+		// section's end; skip to it.
+		if _, err := io.Copy(io.Discard, sec); err != nil {
+			rd.Failf("%s state section: %w", sectionNames[i], err)
+		}
 	}
-	if err := readBlob("abstraction", func(r io.Reader) error {
-		abs, err := abstract.ReadStreamer(r, e.appendName)
-		if err != nil {
-			return err
-		}
-		e.abs = abs
-		return nil
-	}); err != nil {
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	if e.abs.Mode() != opts.HeapNaming {
-		return nil, mismatch("abstraction mode", e.abs.Mode(), opts.HeapNaming)
+		return nil, fmt.Errorf("online: engine state abstraction mode %v, restore requested %v", e.abs.Mode(), opts.HeapNaming)
 	}
-	if err := readBlob("grammar", func(r io.Reader) error {
-		g, err := sequitur.ReadState(r)
-		if err != nil {
-			return err
-		}
-		e.g = g
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
 	reg := opts.registry()
 	e.obsEvents = reg.Counter("online.events")
 	e.obsChunks = reg.Counter("online.chunks")
 	e.obsEvict = reg.Counter("online.evictions")
 	return e, nil
+}
+
+// headerValue renders header entry i for an error message.
+func headerValue(i int, v uint64) string {
+	switch headerFields[i] {
+	case "heap naming":
+		return abstract.Mode(v).String()
+	case "coverage target":
+		return fmt.Sprint(math.Float64frombits(v))
+	}
+	return fmt.Sprint(v)
 }

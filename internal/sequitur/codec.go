@@ -1,11 +1,11 @@
 package sequitur
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
+	"math"
+
+	"repro/internal/wire"
 )
 
 // This file implements the binary grammar codec. §5.2 notes the WPS sizes
@@ -29,181 +29,82 @@ var ErrFrozen = errors.New("sequitur: grammar loaded from binary is read-only")
 // WriteBinary encodes the grammar in the compact binary form, returning
 // the number of bytes written.
 func (d *DAG) WriteBinary(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var total int64
-	write := func(p []byte) error {
-		n, err := bw.Write(p)
-		total += int64(n)
-		return err
-	}
-	if err := write(codecMagic[:]); err != nil {
-		return total, err
-	}
-	// Dense postorder numbering, root last.
-	index := make(map[uint64]uint64, len(d.Order))
-	for i, r := range d.Order {
-		index[r.ID()] = uint64(i)
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		return write(buf[:n])
-	}
-	if err := putUvarint(uint64(len(d.Order))); err != nil {
-		return total, err
-	}
+	ww := wire.NewWriter(w, codecMagic)
+	ww.Uvarint(uint64(len(d.Order)))
 	for _, r := range d.Order {
 		rhs := d.RHS[r.ID()]
-		if err := putUvarint(uint64(rhs.Len())); err != nil {
-			return total, err
-		}
+		ww.Uvarint(uint64(rhs.Len()))
 		for i, ref := range rhs.Refs {
-			var sym uint64
 			if ref != nil {
-				sym = index[ref.ID()]<<1 | 1
+				// The postorder index is built eagerly by NewDAG, so
+				// concurrent encoders may read it.
+				ww.Uvarint(uint64(d.orderIdx[ref.ID()])<<1 | 1)
 			} else {
-				sym = rhs.Terminals[i] << 1
-			}
-			if err := putUvarint(sym); err != nil {
-				return total, err
+				ww.Uvarint(rhs.Terminals[i] << 1)
 			}
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return total, err
-	}
-	return total, nil
+	return ww.Close()
 }
 
-// BinarySize computes the encoded size without writing.
+// BinarySize computes the encoded size without keeping the bytes.
 func (d *DAG) BinarySize() uint64 {
-	n := uint64(4) + uvarintLen(uint64(len(d.Order)))
-	for _, r := range d.Order {
-		rhs := d.RHS[r.ID()]
-		n += uvarintLen(uint64(rhs.Len()))
-		for i, ref := range rhs.Refs {
-			if ref != nil {
-				// Postorder index <= len(Order); bounded by rule count.
-				// The reverse index is built eagerly by NewDAG so this
-				// read is safe under concurrent BinarySize calls.
-				n += uvarintLen(uint64(d.orderIdx[ref.ID()])<<1 | 1)
-			} else {
-				n += uvarintLen(rhs.Terminals[i] << 1)
-			}
-		}
-	}
-	return n
-}
-
-func uvarintLen(v uint64) uint64 {
-	n := uint64(1)
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// countReader tracks the byte offset of a buffered stream so decode
-// errors can point at the corrupt byte instead of just naming a rule.
-type countReader struct {
-	br  *bufio.Reader
-	off uint64
-}
-
-func (c *countReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.off++
-	}
-	return b, err
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	c.off += uint64(n)
-	return n, err
-}
-
-// noEOF normalizes a mid-stream EOF: once past the magic, a clean EOF
-// still means the encoding was cut short.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	n, _ := d.WriteBinary(io.Discard) // io.Discard never fails
+	return uint64(n)
 }
 
 // ReadBinary decodes a grammar from the binary form. The result is frozen:
 // Append panics with ErrFrozen; analysis entry points (NewDAG, Walk,
 // Expand, Rules) work normally. Truncated or corrupt input fails with an
-// error naming the rule and byte offset of the damage.
+// error naming the byte offset of the damage.
 func ReadBinary(r io.Reader) (*Grammar, error) {
-	cr := &countReader{br: bufio.NewReader(r)}
-	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		// Even a zero-byte stream is corrupt here: no valid grammar
-		// encoding is shorter than the magic.
-		return nil, fmt.Errorf("sequitur: reading magic: %w", noEOF(err))
-	}
-	if magic != codecMagic {
-		return nil, fmt.Errorf("sequitur: bad magic %q", magic[:])
-	}
-	nRules, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return nil, fmt.Errorf("sequitur: rule count at offset 4: %w", noEOF(err))
-	}
-	if nRules == 0 {
-		return nil, errors.New("sequitur: empty grammar")
-	}
-	const maxRules = 1 << 28
-	if nRules > maxRules {
-		return nil, fmt.Errorf("sequitur: implausible rule count %d", nRules)
+	rd := wire.NewReader(r, "sequitur: WPS1", codecMagic)
+	nRules := rd.Count("rule count", 1<<28)
+	if rd.Err() == nil && nRules == 0 {
+		rd.Failf("empty grammar")
 	}
 	g := &Grammar{frozen: true}
 	g.arena.init()
-	rules := make([]*Rule, nRules)
-	for i := range rules {
-		rules[i] = g.materializeRule(uint64(i))
-	}
-	g.nextID = nRules
-	var total uint64
-	for i := uint64(0); i < nRules; i++ {
-		at := cr.off
-		rhsLen, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return nil, fmt.Errorf("sequitur: rule %d length at offset %d: %w", i, at, noEOF(err))
-		}
+	// Postorder means a body references only rules already read, so
+	// rules materialize as they arrive and a false count costs nothing
+	// before the input runs out. lens[i] is rule i's expansion length.
+	var rules []*Rule
+	var lens []uint64
+	for i := uint64(0); i < nRules && rd.Err() == nil; i++ {
+		rhsLen := rd.Count("rule length", math.MaxUint32)
 		// Every non-root rule must produce something: an empty body
 		// expands to nothing, which no SEQUITUR (or relaxed,
 		// post-eviction) grammar emits — it only appears in damaged
 		// encodings. The root alone may be empty (a grammar over zero
 		// input symbols).
 		if rhsLen == 0 && i != nRules-1 {
-			return nil, fmt.Errorf("sequitur: rule %d at offset %d has empty right-hand side", i, at)
+			rd.Failf("rule %d has empty right-hand side", i)
 		}
-		if !g.arena.canAlloc(rhsLen) {
-			return nil, fmt.Errorf("sequitur: rule %d at offset %d: length %d overflows the symbol arena", i, at, rhsLen)
+		if !g.arena.canAlloc(rhsLen + 1) {
+			rd.Failf("rule %d: length %d overflows the symbol arena", i, rhsLen)
 		}
-		r := rules[i]
-		for j := uint64(0); j < rhsLen; j++ {
-			at = cr.off
-			sv, err := binary.ReadUvarint(cr)
-			if err != nil {
-				return nil, fmt.Errorf("sequitur: rule %d symbol %d at offset %d: %w", i, j, at, noEOF(err))
-			}
+		if rd.Err() != nil {
+			break
+		}
+		r := g.materializeRule(i)
+		var n uint64
+		for j := uint64(0); j < rhsLen && rd.Err() == nil; j++ {
+			sv := rd.Uvarint("rule symbol")
 			si := g.arena.allocSymbol()
 			s := g.at(si)
 			if sv&1 == 1 {
 				idx := sv >> 1
 				if idx >= i {
-					return nil, fmt.Errorf("sequitur: rule %d at offset %d references rule %d out of postorder", i, at, idx)
+					rd.Failf("rule %d references rule %d out of postorder", i, idx)
+					break
 				}
 				s.rule = rules[idx].self
 				s.value = ntBit | rules[idx].id
 				rules[idx].uses++
+				n += lens[idx]
 			} else {
 				s.value = sv >> 1
+				n++
 			}
 			// Raw append before the guard.
 			gs := g.at(r.guard)
@@ -213,27 +114,14 @@ func ReadBinary(r io.Reader) (*Grammar, error) {
 			s.next = r.guard
 			gs.prev = si
 		}
+		rules = append(rules, r)
+		lens = append(lens, n)
 	}
+	if err := rd.Err(); err != nil {
+		return nil, err
+	}
+	g.nextID = nRules
 	g.root = rules[nRules-1]
-	// Recompute the input length from expansion lengths.
-	lens := make([]uint64, nRules)
-	for i := uint64(0); i < nRules; i++ {
-		var n uint64
-		for si := rules[i].first(); ; {
-			s := g.at(si)
-			if s.isGuard() {
-				break
-			}
-			if s.rule != nilRule {
-				n += lens[g.ruleAt(s.rule).id]
-			} else {
-				n++
-			}
-			si = s.next
-		}
-		lens[i] = n
-	}
-	total = lens[nRules-1]
-	g.input = total
+	g.input = lens[nRules-1]
 	return g, nil
 }

@@ -96,9 +96,9 @@ func CheckInvariants(g *Grammar) error {
 		return g.arena.ruleSlots[s.rule]
 	}
 
-	seen := make(map[digram]uint64) // digram -> rule holding it
-	uses := make(map[uint64]int)    // rule id -> actual reference count
-	linked := make(map[symID]bool)  // symbols reachable from live rules
+	seen := make(map[digram]uint64)         // digram -> rule holding it
+	uses := make(map[uint64]int)            // rule id -> actual reference count
+	linked := make([]bool, g.arena.symHigh) // symbols reachable from live rules
 
 	for id, r := range rules {
 		if r == nil {
@@ -122,6 +122,9 @@ func CheckInvariants(g *Grammar) error {
 		for {
 			if si == nilSym {
 				return fmt.Errorf("sequitur: rule %d: nil symbol after %d right-hand-side positions", id, n)
+			}
+			if uint32(si) >= g.arena.symHigh {
+				return fmt.Errorf("sequitur: rule %d: symbol handle %d out of arena range", id, si)
 			}
 			s := g.at(si)
 			if s.isGuard() {

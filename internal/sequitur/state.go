@@ -1,12 +1,13 @@
 package sequitur
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // This file implements the live-grammar state codec: the serialization
@@ -40,24 +41,6 @@ var stateMagic = [4]byte{'W', 'P', 'S', 'L'} // "L" for live
 
 const stateVersion = 1
 
-// stateWriter tracks bytes written for the (int64, error) contract.
-type stateWriter struct {
-	bw    *bufio.Writer
-	total int64
-	buf   [binary.MaxVarintLen64]byte
-}
-
-func (w *stateWriter) write(p []byte) error {
-	n, err := w.bw.Write(p)
-	w.total += int64(n)
-	return err
-}
-
-func (w *stateWriter) uvarint(v uint64) error {
-	n := binary.PutUvarint(w.buf[:], v)
-	return w.write(w.buf[:n])
-}
-
 // symPos names one symbol occurrence: its owning rule and zero-based
 // position within that rule's right-hand side.
 type symPos struct{ rule, idx uint64 }
@@ -82,57 +65,6 @@ func (g *Grammar) WriteState(w io.Writer) (int64, error) {
 	if g.frozen {
 		return 0, errors.New("sequitur: frozen grammar has no live state")
 	}
-	sw := &stateWriter{bw: bufio.NewWriter(w)}
-	if err := sw.write(stateMagic[:]); err != nil {
-		return sw.total, err
-	}
-	var flags uint64
-	if g.relaxed {
-		flags |= 1
-	}
-	for _, v := range []uint64{stateVersion, uint64(g.opts.MinRuleOccurrences), flags, g.input, g.nextID, g.root.id, uint64(g.nRules)} {
-		if err := sw.uvarint(v); err != nil {
-			return sw.total, err
-		}
-	}
-	for _, r := range g.liveRulesSorted() {
-		rhs := r.RHS()
-		if err := sw.uvarint(r.id); err != nil {
-			return sw.total, err
-		}
-		if err := sw.uvarint(uint64(rhs.Len())); err != nil {
-			return sw.total, err
-		}
-		for i, ref := range rhs.Refs {
-			var sym uint64
-			if ref != nil {
-				sym = ref.id<<1 | 1
-			} else {
-				sym = rhs.Terminals[i] << 1
-			}
-			if err := sw.uvarint(sym); err != nil {
-				return sw.total, err
-			}
-		}
-	}
-	// Pending digram sightings (SEQUITUR(k) only), sorted for a
-	// deterministic encoding; keys embed rule IDs, which the rule
-	// section above preserves verbatim.
-	pend := make([]digram, 0, len(g.pending))
-	for d := range g.pending {
-		pend = append(pend, d)
-	}
-	sortDigrams(pend)
-	if err := sw.uvarint(uint64(len(pend))); err != nil {
-		return sw.total, err
-	}
-	for _, d := range pend {
-		for _, v := range []uint64{d.a, d.b, uint64(g.pending[d])} {
-			if err := sw.uvarint(v); err != nil {
-				return sw.total, err
-			}
-		}
-	}
 	// The digram table: every entry as (digram, occurrence locator),
 	// sorted by digram for determinism.
 	where := g.symbolPositions()
@@ -152,173 +84,155 @@ func (g *Grammar) WriteState(w io.Writer) (int64, error) {
 		return true
 	})
 	if badEntry != nil {
-		return sw.total, fmt.Errorf("sequitur: digram table entry (%d,%d) points at an unlinked symbol", badEntry.a, badEntry.b)
+		return 0, fmt.Errorf("sequitur: digram table entry (%d,%d) points at an unlinked symbol", badEntry.a, badEntry.b)
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].d.a != entries[j].d.a {
-			return entries[i].d.a < entries[j].d.a
-		}
-		return entries[i].d.b < entries[j].d.b
-	})
-	if err := sw.uvarint(uint64(len(entries))); err != nil {
-		return sw.total, err
+	sort.Slice(entries, func(i, j int) bool { return digramLess(entries[i].d, entries[j].d) })
+
+	ww := wire.NewWriter(w, stateMagic)
+	for _, v := range []uint64{stateVersion, uint64(g.opts.MinRuleOccurrences)} {
+		ww.Uvarint(v)
 	}
-	for _, e := range entries {
-		for _, v := range []uint64{e.d.a, e.d.b, e.p.rule, e.p.idx} {
-			if err := sw.uvarint(v); err != nil {
-				return sw.total, err
+	ww.Bool(g.relaxed)
+	for _, v := range []uint64{g.input, g.nextID, g.root.id, uint64(g.nRules)} {
+		ww.Uvarint(v)
+	}
+	for _, r := range g.liveRulesSorted() {
+		rhs := r.RHS()
+		ww.Uvarint(r.id)
+		ww.Uvarint(uint64(rhs.Len()))
+		for i, ref := range rhs.Refs {
+			if ref != nil {
+				ww.Uvarint(ref.id<<1 | 1)
+			} else {
+				ww.Uvarint(rhs.Terminals[i] << 1)
 			}
 		}
 	}
-	if err := sw.bw.Flush(); err != nil {
-		return sw.total, err
+	// Pending digram sightings (SEQUITUR(k) only), sorted for a
+	// deterministic encoding; keys embed rule IDs, which the rule
+	// section above preserves verbatim.
+	pend := make([]digram, 0, len(g.pending))
+	for d := range g.pending {
+		pend = append(pend, d)
 	}
-	return sw.total, nil
+	sort.Slice(pend, func(i, j int) bool { return digramLess(pend[i], pend[j]) })
+	ww.Uvarint(uint64(len(pend)))
+	for _, d := range pend {
+		for _, v := range []uint64{d.a, d.b, uint64(g.pending[d])} {
+			ww.Uvarint(v)
+		}
+	}
+	ww.Uvarint(uint64(len(entries)))
+	for _, e := range entries {
+		for _, v := range []uint64{e.d.a, e.d.b, e.p.rule, e.p.idx} {
+			ww.Uvarint(v)
+		}
+	}
+	return ww.Close()
 }
 
-func sortDigrams(ds []digram) {
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].a != ds[j].a {
-			return ds[i].a < ds[j].a
-		}
-		return ds[i].b < ds[j].b
-	})
+func digramLess(x, y digram) bool {
+	if x.a != y.a {
+		return x.a < y.a
+	}
+	return x.b < y.b
 }
 
 // ReadState decodes a grammar from its live-state form. The result is
 // fully appendable and behaves exactly like the grammar WriteState
 // captured: rules keep their original IDs, the digram table points at
 // the same occurrences, and pending SEQUITUR(k) counts are restored.
+// A decoded grammar passes CheckInvariants, or ReadState fails.
 func ReadState(r io.Reader) (*Grammar, error) {
-	cr := &countReader{br: bufio.NewReader(r)}
-	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, fmt.Errorf("sequitur: reading state magic: %w", noEOF(err))
+	rd := wire.NewReader(r, "sequitur: state", stateMagic)
+	if v := rd.Uvarint("version"); rd.Err() == nil && v != stateVersion {
+		rd.Failf("version %d, this build supports %d", v, stateVersion)
 	}
-	if magic != stateMagic {
-		return nil, fmt.Errorf("sequitur: bad state magic %q", magic[:])
-	}
-	uv := func(what string) (uint64, error) {
-		at := cr.off
-		v, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return 0, fmt.Errorf("sequitur: state %s at offset %d: %w", what, at, noEOF(err))
-		}
-		return v, nil
-	}
-	version, err := uv("version")
-	if err != nil {
-		return nil, err
-	}
-	if version != stateVersion {
-		return nil, fmt.Errorf("sequitur: state version %d, this build supports %d", version, stateVersion)
-	}
-	minOcc, err := uv("min-rule-occurrences")
-	if err != nil {
-		return nil, err
-	}
-	flags, err := uv("flags")
-	if err != nil {
-		return nil, err
-	}
-	input, err := uv("input length")
-	if err != nil {
-		return nil, err
-	}
-	nextID, err := uv("next rule id")
-	if err != nil {
-		return nil, err
-	}
-	rootID, err := uv("root id")
-	if err != nil {
-		return nil, err
-	}
-	nRules, err := uv("rule count")
-	if err != nil {
-		return nil, err
-	}
-	const maxRules = 1 << 28
-	if nRules == 0 || nRules > maxRules {
-		return nil, fmt.Errorf("sequitur: implausible state rule count %d", nRules)
-	}
-	if int(minOcc) < 2 {
-		minOcc = 2
+	minOcc := max(rd.Count("min-rule-occurrences", math.MaxInt32), 2)
+	relaxed := rd.Bool("flags")
+	input := rd.Uvarint("input length")
+	nextID := rd.Uvarint("next rule id")
+	rootID := rd.Uvarint("root id")
+	nRules := rd.Count("rule count", 1<<28)
+	if rd.Err() == nil && nRules == 0 {
+		rd.Failf("no rules")
 	}
 	g := &Grammar{
 		opts:    Options{MinRuleOccurrences: int(minOcc)},
-		relaxed: flags&1 != 0,
+		relaxed: relaxed,
 		nextID:  nextID,
 	}
-	// Decode-local id->rule index; the grammar itself keeps no such map.
-	byID := make(map[uint64]*Rule, nRules)
 	g.arena.init()
 	if minOcc > 2 {
 		g.pending = make(map[digram]int)
 	}
 
-	// Pass 1: decode every rule's ID and raw symbol list; rule bodies may
-	// reference rules in either direction, so all rules materialize
-	// before any RHS links.
-	ids := make([]uint64, nRules)
-	bodies := make([][]uint64, nRules)
-	var totalSyms uint64
-	for i := uint64(0); i < nRules; i++ {
-		id, err := uv(fmt.Sprintf("rule %d id", i))
-		if err != nil {
-			return nil, err
-		}
-		if id >= nextID {
-			return nil, fmt.Errorf("sequitur: state rule id %d >= next id %d", id, nextID)
-		}
+	// Pass 1: every rule's ID and raw body. A body may reference rules
+	// in either direction, so all rules materialize before any body
+	// links. Nothing is sized by a claimed count: the slices grow only
+	// as the input delivers.
+	var (
+		rules  []*Rule
+		byID   = make(map[uint64]int) // rule ID -> index into rules
+		syms   []uint64               // every body, concatenated
+		starts = []int{0}             // rule i's body is syms[starts[i]:starts[i+1]]
+	)
+	for i := uint64(0); i < nRules && rd.Err() == nil; i++ {
+		id := rd.Uvarint("rule id")
+		rhsLen := rd.Count("rule length", math.MaxUint32)
 		if _, dup := byID[id]; dup {
-			return nil, fmt.Errorf("sequitur: state rule id %d duplicated", id)
+			rd.Failf("rule id %d duplicated", id)
 		}
-		rhsLen, err := uv(fmt.Sprintf("rule %d length", i))
-		if err != nil {
-			return nil, err
+		switch {
+		case id >= nextID:
+			rd.Failf("rule id %d >= next id %d", id, nextID)
+		case rhsLen == 0 && id != rootID:
+			rd.Failf("rule %d has empty right-hand side", id)
+		case !g.arena.canAlloc(uint64(len(syms)) + rhsLen + 1):
+			rd.Failf("rule %d length %d overflows the symbol arena", id, rhsLen)
 		}
-		if rhsLen == 0 && id != rootID {
-			return nil, fmt.Errorf("sequitur: state rule %d has empty right-hand side", id)
+		for j := uint64(0); j < rhsLen && rd.Err() == nil; j++ {
+			syms = append(syms, rd.Uvarint("rule symbol"))
 		}
-		if !g.arena.canAlloc(rhsLen + 1) {
-			return nil, fmt.Errorf("sequitur: state rule %d length %d overflows the symbol arena", id, rhsLen)
+		if rd.Err() != nil {
+			break
 		}
-		body := make([]uint64, rhsLen)
-		for j := range body {
-			sv, err := uv(fmt.Sprintf("rule %d symbol %d", id, j))
-			if err != nil {
-				return nil, err
-			}
-			body[j] = sv
-		}
-		totalSyms += rhsLen
-		ids[i] = id
-		bodies[i] = body
-		byID[id] = g.materializeRule(id)
+		byID[id] = len(rules)
+		rules = append(rules, g.materializeRule(id))
+		starts = append(starts, len(syms))
 	}
 	root, ok := byID[rootID]
-	if !ok {
-		return nil, fmt.Errorf("sequitur: state root rule %d missing", rootID)
+	if rd.Err() == nil && !ok {
+		rd.Failf("root rule %d missing", rootID)
 	}
-	g.root = root
+	if err := rd.Err(); err != nil {
+		return nil, err
+	}
+	g.root = rules[root]
 
-	// Pass 2: link right-hand sides and count uses.
-	for i, id := range ids {
-		r := byID[id]
-		for j, sv := range bodies[i] {
+	// Pass 2: link the bodies and count uses. handles[j] is the arena
+	// handle of syms[j], so a digram entry below resolves its position
+	// by index.
+	handles := make([]symID, len(syms))
+	for i, r := range rules {
+		for j := starts[i]; j < starts[i+1]; j++ {
+			sv := syms[j]
 			si := g.arena.allocSymbol()
 			s := g.at(si)
 			if sv&1 == 1 {
-				ref, ok := byID[sv>>1]
+				k, ok := byID[sv>>1]
 				if !ok {
-					return nil, fmt.Errorf("sequitur: state rule %d references unknown rule %d", id, sv>>1)
+					rd.Failf("rule %d references unknown rule %d", r.id, sv>>1)
+					return nil, rd.Err()
 				}
+				ref := rules[k]
 				s.rule = ref.self
 				s.value = ntBit | ref.id
 				ref.uses++
 			} else {
 				if v := sv >> 1; v&(ntBit|guardBit) != 0 {
-					return nil, fmt.Errorf("sequitur: state rule %d symbol %d: terminal uses reserved bits", id, j)
+					rd.Failf("rule %d symbol %d: terminal uses reserved bits", r.id, j-starts[i])
+					return nil, rd.Err()
 				}
 				s.value = sv >> 1
 			}
@@ -328,126 +242,55 @@ func ReadState(r io.Reader) (*Grammar, error) {
 			s.prev = last
 			s.next = r.guard
 			gs.prev = si
+			handles[j] = si
 		}
-	}
-	if root.uses != 0 {
-		return nil, fmt.Errorf("sequitur: state root rule %d is referenced %d times", rootID, root.uses)
 	}
 
 	// Pending digram counts.
-	nPend, err := uv("pending count")
-	if err != nil {
-		return nil, err
-	}
+	nPend := rd.Uvarint("pending count")
 	if nPend > 0 && g.pending == nil {
-		return nil, fmt.Errorf("sequitur: state has %d pending digrams but min-rule-occurrences %d", nPend, minOcc)
+		rd.Failf("%d pending digrams but min-rule-occurrences %d", nPend, minOcc)
 	}
-	for i := uint64(0); i < nPend; i++ {
-		a, err := uv("pending digram a")
-		if err != nil {
-			return nil, err
-		}
-		b, err := uv("pending digram b")
-		if err != nil {
-			return nil, err
-		}
-		c, err := uv("pending digram count")
-		if err != nil {
-			return nil, err
-		}
-		g.pending[digram{a, b}] = int(c)
+	for i := uint64(0); i < nPend && rd.Err() == nil; i++ {
+		a, b := rd.Uvarint("pending digram a"), rd.Uvarint("pending digram b")
+		g.pending[digram{a, b}] = int(rd.Uvarint("pending digram count"))
 	}
 
 	// Digram table: each entry re-points at the recorded occurrence,
 	// validated against the linked structure.
-	nTab, err := uv("digram table size")
-	if err != nil {
-		return nil, err
-	}
-	if nTab > totalSyms {
-		return nil, fmt.Errorf("sequitur: state digram table has %d entries for %d symbols", nTab, totalSyms)
-	}
-	g.digrams.init(int(totalSyms))
-	for i := uint64(0); i < nTab; i++ {
-		a, err := uv("digram entry a")
-		if err != nil {
-			return nil, err
+	nTab := rd.Count("digram table size", uint64(len(syms)))
+	g.digrams.init(len(syms))
+	for i := uint64(0); i < nTab && rd.Err() == nil; i++ {
+		d := digram{rd.Uvarint("digram entry a"), rd.Uvarint("digram entry b")}
+		rid, idx := rd.Uvarint("digram entry rule"), rd.Uvarint("digram entry position")
+		if rd.Err() != nil {
+			break
 		}
-		b, err := uv("digram entry b")
-		if err != nil {
-			return nil, err
-		}
-		rid, err := uv("digram entry rule")
-		if err != nil {
-			return nil, err
-		}
-		idx, err := uv("digram entry position")
-		if err != nil {
-			return nil, err
-		}
-		r, ok := byID[rid]
+		k, ok := byID[rid]
 		if !ok {
-			return nil, fmt.Errorf("sequitur: digram entry (%d,%d) names unknown rule %d", a, b, rid)
+			rd.Failf("digram entry (%d,%d) names unknown rule %d", d.a, d.b, rid)
+			break
 		}
-		si := r.first()
-		for j := uint64(0); j < idx && !g.at(si).isGuard(); j++ {
-			si = g.at(si).next
+		body := handles[starts[k]:starts[k+1]]
+		if len(body) < 2 || idx > uint64(len(body)-2) {
+			rd.Failf("digram entry (%d,%d) position %d out of range in rule %d", d.a, d.b, idx, rid)
+			break
 		}
-		s := g.at(si)
-		if s.isGuard() || g.at(s.next).isGuard() {
-			return nil, fmt.Errorf("sequitur: digram entry (%d,%d) position %d out of range in rule %d", a, b, idx, rid)
-		}
-		d := digram{a, b}
-		if (digram{s.value, g.at(s.next).value}) != d {
-			return nil, fmt.Errorf("sequitur: digram entry (%d,%d) names a different digram at rule %d position %d", a, b, rid, idx)
+		si := body[idx]
+		if (digram{g.at(si).value, g.at(body[idx+1]).value}) != d {
+			rd.Failf("digram entry (%d,%d) names a different digram at rule %d position %d", d.a, d.b, rid, idx)
 		}
 		if g.digrams.lookup(d) != nilSym {
-			return nil, fmt.Errorf("sequitur: digram entry (%d,%d) duplicated", a, b)
+			rd.Failf("digram entry (%d,%d) duplicated", d.a, d.b)
 		}
 		g.digrams.set(d, si)
 	}
-
-	// The root's expansion must reproduce the recorded input length; a
-	// mismatch means the encoding (or its producer) is damaged.
-	lens := make(map[uint64]uint64, nRules)
-	var lenOf func(r *Rule) (uint64, error)
-	seen := make(map[uint64]int, nRules)
-	lenOf = func(r *Rule) (uint64, error) {
-		switch seen[r.id] {
-		case 1:
-			return 0, fmt.Errorf("sequitur: state rule %d participates in a reference cycle", r.id)
-		case 2:
-			return lens[r.id], nil
-		}
-		seen[r.id] = 1
-		var total uint64
-		for si := r.first(); ; {
-			s := g.at(si)
-			if s.isGuard() {
-				break
-			}
-			if s.rule != nilRule {
-				n, err := lenOf(g.ruleAt(s.rule))
-				if err != nil {
-					return 0, err
-				}
-				total += n
-			} else {
-				total++
-			}
-			si = s.next
-		}
-		seen[r.id] = 2
-		lens[r.id] = total
-		return total, nil
-	}
-	rootLen, err := lenOf(root)
-	if err != nil {
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
-	if rootLen != input {
-		return nil, fmt.Errorf("sequitur: state root expands to %d terminals, header says %d", rootLen, input)
-	}
 	g.input = input
+	if err := CheckInvariants(g); err != nil {
+		return nil, fmt.Errorf("sequitur: state: %w", err)
+	}
 	return g, nil
 }

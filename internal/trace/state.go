@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
+	"math"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // State codec for StatsAccum: the trace-layer piece of online-engine
@@ -22,73 +22,31 @@ var statsStateMagic = [4]byte{'T', 'S', 'A', '1'}
 
 // WriteState encodes the accumulator, returning the bytes written.
 func (a *StatsAccum) WriteState(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var total int64
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		m, err := bw.Write(buf[:n])
-		total += int64(m)
-		return err
-	}
-	n, err := bw.Write(statsStateMagic[:])
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
+	ww := wire.NewWriter(w, statsStateMagic)
 	for _, v := range []uint64{
 		a.s.Refs, a.s.HeapRefs, a.s.GlobalRefs, a.s.Loads, a.s.Stores,
 		a.s.Allocs, a.s.Frees, a.s.AllocBytes, a.s.TraceBytes,
 	} {
-		if err := put(v); err != nil {
-			return total, err
-		}
+		ww.Uvarint(v)
 	}
 	for _, set := range []*u32set{&a.addrs, &a.pcs} {
 		keys := set.members()
-		if err := put(uint64(len(keys))); err != nil {
-			return total, err
-		}
-		var zero uint64
-		if set.zero {
-			zero = 1
-		}
-		if err := put(zero); err != nil {
-			return total, err
-		}
+		ww.Uvarint(uint64(len(keys)))
+		ww.Bool(set.zero)
 		// Delta-code the sorted keys: addresses cluster, so gaps are
 		// small and the varints short.
 		prev := uint32(0)
 		for _, k := range keys {
-			if err := put(uint64(k - prev)); err != nil {
-				return total, err
-			}
+			ww.Uvarint(uint64(k - prev))
 			prev = k
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return total, err
-	}
-	return total, nil
+	return ww.Close()
 }
 
 // ReadStatsAccum decodes an accumulator written by WriteState.
 func ReadStatsAccum(r io.Reader) (*StatsAccum, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading stats state magic: %w", err)
-	}
-	if magic != statsStateMagic {
-		return nil, fmt.Errorf("trace: bad stats state magic %q", magic[:])
-	}
-	get := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("trace: stats state %s: %w", what, err)
-		}
-		return v, nil
-	}
+	rd := wire.NewReader(r, "trace: stats state", statsStateMagic)
 	a := NewStatsAccum()
 	for _, f := range []struct {
 		name string
@@ -100,47 +58,29 @@ func ReadStatsAccum(r io.Reader) (*StatsAccum, error) {
 		{"frees", &a.s.Frees}, {"alloc bytes", &a.s.AllocBytes},
 		{"trace bytes", &a.s.TraceBytes},
 	} {
-		v, err := get(f.name)
-		if err != nil {
-			return nil, err
-		}
-		*f.dst = v
+		*f.dst = rd.Uvarint(f.name)
 	}
-	for i, set := range []*u32set{&a.addrs, &a.pcs} {
-		which := [...]string{"address", "pc"}[i]
-		n, err := get(which + " set size")
-		if err != nil {
-			return nil, err
-		}
-		const maxKeys = 1 << 31
-		if n > maxKeys {
-			return nil, fmt.Errorf("trace: implausible %s set size %d", which, n)
-		}
-		zero, err := get(which + " set zero flag")
-		if err != nil {
-			return nil, err
-		}
-		set.initSet(int(n) + 1)
-		if zero != 0 {
+	for _, set := range []*u32set{&a.addrs, &a.pcs} {
+		// The sets grow as keys arrive; a claimed size allocates nothing.
+		n := rd.Uvarint("set size")
+		if rd.Bool("set zero flag") {
 			set.add(0)
 		}
 		prev := uint64(0)
-		for j := uint64(0); j < n; j++ {
-			d, err := get(fmt.Sprintf("%s set key %d", which, j))
-			if err != nil {
-				return nil, err
+		for j := uint64(0); j < n && rd.Err() == nil; j++ {
+			// Keys ascend from 1 (zero travels as the flag above), so
+			// every delta is positive and the sum stays in 32 bits.
+			d := rd.Uvarint("set key delta")
+			if d == 0 || d > math.MaxUint32-prev {
+				rd.Failf("set key %d: delta %d out of range", j, d)
 			}
-			k := prev + d
-			if j > 0 && d == 0 {
-				return nil, fmt.Errorf("trace: %s set key %d duplicates its predecessor", which, j)
-			}
-			if k == 0 || k > 1<<32-1 {
-				return nil, fmt.Errorf("trace: %s set key %d out of range", which, j)
-			}
-			set.add(uint32(k))
-			prev = k
+			prev += d
+			set.add(uint32(prev))
 		}
 		set.last = 0
+	}
+	if err := rd.Err(); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
