@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -205,11 +206,12 @@ func (e *transientError) Error() string { return e.err.Error() }
 func (e *transientError) Unwrap() error { return e.err }
 
 // transientNet reports whether a transport error is a connection-level
-// failure (refused, reset, or torn down mid-exchange).
+// failure (refused, reset, closed, or torn down mid-exchange).
 func transientNet(err error) bool {
 	return errors.Is(err, syscall.ECONNREFUSED) ||
 		errors.Is(err, syscall.ECONNRESET) ||
 		errors.Is(err, syscall.EPIPE) ||
+		errors.Is(err, net.ErrClosed) ||
 		errors.Is(err, io.EOF) ||
 		errors.Is(err, io.ErrUnexpectedEOF)
 }
@@ -238,8 +240,10 @@ func postStream(url string, emit func(io.Writer) error) error {
 	}()
 	resp, err := http.Post(url, "application/octet-stream", pr)
 	if err != nil {
-		if eerr := <-done; eerr != nil {
-			// The source failed, not the network: never retried.
+		// A closed pipe means the transport tore the body down after the
+		// connection failed, so the POST error is the cause. Any other
+		// emit error is the source failing, which is never retried.
+		if eerr := <-done; eerr != nil && !errors.Is(eerr, io.ErrClosedPipe) {
 			return errors.Join(eerr, err)
 		}
 		if transientNet(err) {
