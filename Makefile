@@ -99,12 +99,20 @@ fuzz:
 	$(GO) test -fuzz=FuzzExpandIdentity -fuzztime=30s ./internal/sequitur/
 	$(GO) test -fuzz=FuzzBinaryCodec -fuzztime=30s ./internal/sequitur/
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/trace/
+	$(GO) test -fuzz=FuzzReadState -fuzztime=30s ./internal/online/
+	$(GO) test -fuzz=FuzzReadEngine -fuzztime=30s ./internal/online/
+	$(GO) test -fuzz=FuzzReadStreamer -fuzztime=30s ./internal/online/
+	$(GO) test -fuzz=FuzzReadStatsAccum -fuzztime=30s ./internal/online/
 
 # The CI-sized fuzz pass: 10 seconds per target.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzExpandIdentity -fuzztime=10s ./internal/sequitur/
 	$(GO) test -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/sequitur/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace/
+	$(GO) test -fuzz=FuzzReadState -fuzztime=10s ./internal/online/
+	$(GO) test -fuzz=FuzzReadEngine -fuzztime=10s ./internal/online/
+	$(GO) test -fuzz=FuzzReadStreamer -fuzztime=10s ./internal/online/
+	$(GO) test -fuzz=FuzzReadStatsAccum -fuzztime=10s ./internal/online/
 
 cover:
 	$(GO) test -cover ./internal/...
