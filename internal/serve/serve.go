@@ -682,12 +682,11 @@ func (s *Server) closeSession(name string, handoff bool) (CloseResult, bool, err
 		err := s.persistStateLocked(sess, &res)
 		return res, true, err
 	}
-	mSnapshots.Add(1)
-	snap := sess.engine.Snapshot()
 	if s.st == nil {
 		return res, true, nil
 	}
-	b, err := snap.MarshalIndent()
+	mSnapshots.Add(1)
+	b, err := sess.engine.Snapshot().MarshalIndent()
 	if err != nil {
 		return res, true, err
 	}

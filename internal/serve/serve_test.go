@@ -505,3 +505,29 @@ func TestCloseWithoutStore(t *testing.T) {
 		t.Errorf("close without session: status %d, want 400", code)
 	}
 }
+
+// TestCloseSnapshotsOnlyIntoStore: a closing session's final snapshot
+// exists to be kept in the store, so a server without one computes
+// none.
+func TestCloseSnapshotsOnlyIntoStore(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		st   *store.Store
+		want uint64
+	}{{"no store", nil, 0}, {"store", st, 1}} {
+		ts := httptest.NewServer(New(online.Options{}, 1, tc.st).Handler())
+		ingestSession(t, ts.URL, "s", "boxsim", 2_000, 1)
+		before := mSnapshots.Value()
+		if code, body := post(t, ts.URL+"/v1/close?session=s", nil); code != http.StatusOK {
+			t.Fatalf("%s: close: status %d: %s", tc.name, code, body)
+		}
+		if got := mSnapshots.Value() - before; got != tc.want {
+			t.Errorf("%s: close computed %d snapshots, want %d", tc.name, got, tc.want)
+		}
+		ts.Close()
+	}
+}
