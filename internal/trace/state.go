@@ -47,7 +47,7 @@ func (a *StatsAccum) WriteState(w io.Writer) (int64, error) {
 // ReadStatsAccum decodes an accumulator written by WriteState.
 func ReadStatsAccum(r io.Reader) (*StatsAccum, error) {
 	rd := wire.NewReader(r, "trace: stats state", statsStateMagic)
-	a := NewStatsAccum()
+	a := &StatsAccum{}
 	for _, f := range []struct {
 		name string
 		dst  *uint64
@@ -61,7 +61,9 @@ func ReadStatsAccum(r io.Reader) (*StatsAccum, error) {
 		*f.dst = rd.Uvarint(f.name)
 	}
 	for _, set := range []*u32set{&a.addrs, &a.pcs} {
-		// The sets grow as keys arrive; a claimed size allocates nothing.
+		// Each set starts empty and grows as keys arrive, so it ends
+		// sized to its members and a claimed size allocates nothing.
+		set.initSet(0)
 		n := rd.Uvarint("set size")
 		if rd.Bool("set zero flag") {
 			set.add(0)
