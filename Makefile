@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-smoke bench-pipeline bench-ingest repro csv lint lint-baseline race sanitize serve-smoke cluster-smoke fleet-smoke locdiff-smoke obs-smoke fuzz fuzz-smoke cover clean
+.PHONY: all build test bench bench-smoke bench-pipeline bench-ingest repro csv lint lint-baseline race sanitize serve-smoke cluster-smoke fleet-smoke locbench-check locdiff-smoke obs-smoke fuzz fuzz-smoke cover clean
 
 all: build test lint
 
@@ -72,6 +72,12 @@ cluster-smoke:
 # fed the same uploads, and clustering must recover the two families.
 fleet-smoke:
 	./scripts/fleet-smoke.sh
+
+# cmd/locbench is its own module, so the root build and test skip it,
+# yet it drives the serve and cluster APIs: build, vet and test it
+# against this checkout.
+locbench-check:
+	cd cmd/locbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test -short ./...
 
 # End-to-end smoke of the regression gate: locdiff over identical runs
 # must pass -strict with zero drift (and hit the store memo on rerun);

@@ -5,34 +5,17 @@
 // horizontally (the "millions of users" deployment ROADMAP.md names:
 // one engine per session, sessions spread over shards).
 //
-// Routing and merging:
-//
-//	POST /v1/ingest?session=S    forwarded to S's owner shard through a
-//	                             per-shard bounded queue — a slow shard
-//	                             backpressures only its own sessions
-//	POST /v1/close?session=S     proxied to the owner (&state=1 hands the
-//	                             session off through the shared store)
-//	GET  /v1/snapshot?session=S  proxied to the owner, exact bytes
-//	GET  /v1/snapshot            fan-out to every shard, merged map —
-//	                             byte-identical to one locserve holding
-//	                             every session
-//	GET  /v1/sessions            merged listing, sorted by session
-//	GET  /v1/stats|hotstreams|locality?session=S   proxied to the owner
-//	GET  /v1/metrics             every shard's metrics merged with the
-//	                             gateway's own (counters/gauges sum,
-//	                             timer tails take the worst shard)
-//	GET  /v1/fleet/fingerprints  merged per-session stream fingerprints
-//	GET  /v1/fleet/streams       fleet-wide top streams, byte-identical
-//	GET  /v1/fleet/clusters      to a single locserve holding every
-//	GET  /v1/fleet/drift         session (fingerprints merge; views
-//	                             recompute on the gateway)
-//	GET  /v1/shards              membership listing with health (the
-//	                             gateway HEAD-probes each shard's
-//	                             /v1/sessions every -probe interval;
-//	                             unhealthy shards are flagged, never
-//	                             auto-evicted)
-//	POST /v1/shards/add?name=N&url=U   join a shard and rebalance
-//	POST /v1/shards/remove?name=N      retire a shard and rebalance
+// The gateway serves the locserve /v1 API from the route table in
+// internal/serve (serve.Routes): each route's class says whether it is
+// proxied to the session's owner shard, fanned out to every shard and
+// merged, or recomputed from the shards' merged fingerprints, and the
+// merged documents are byte-identical to one locserve holding every
+// session. Ingest forwards through a per-shard bounded queue, so a slow
+// shard backpressures only its own sessions. The gateway adds the shard
+// administration routes: GET /v1/shards lists the membership with the
+// health of each shard (HEAD-probed every -probe interval; unhealthy
+// shards are flagged, never evicted), and POST
+// /v1/shards/add?name=N&url=U and /v1/shards/remove?name=N change it.
 //
 // Membership changes move only the sessions whose ring placement
 // changed: the gateway drains them from their current owners (each

@@ -136,8 +136,3 @@ func (sh *shard) do(method, pathQuery string, body []byte) response {
 	}
 	return response{status: resp.StatusCode, body: b}
 }
-
-// get performs a direct GET against the shard.
-func (sh *shard) get(pathQuery string) response {
-	return sh.do(http.MethodGet, pathQuery, nil)
-}

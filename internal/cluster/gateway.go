@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
@@ -13,12 +12,12 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/serve"
 )
 
 // metrics is the gateway's observability registry, sharing the process
-// default the same way locserve does; standalone locgate processes
-// carry only "locgate.*" (plus the worker pool's) names, and the
-// merged /v1/metrics view adds the shards' "locserve.*" names.
+// default the same way locserve does; the merged /v1/metrics view adds
+// the shards' "locserve.*" counts to the gateway's "locgate.*" names.
 var metrics = func() *obs.Registry {
 	r := obs.EnableDefault()
 	r.SetExpvar(true)
@@ -39,29 +38,27 @@ var registry struct {
 }
 
 func init() {
-	metrics.GaugeFunc("locgate.shards", func() int64 {
-		registry.mu.Lock()
-		gws := append([]*Gateway(nil), registry.gateways...)
-		registry.mu.Unlock()
-		var total int64
-		for _, g := range gws {
-			g.mu.RLock()
-			total += int64(len(g.shards))
-			g.mu.RUnlock()
-		}
-		return total
+	sum := func(name string, count func(g *Gateway) int) {
+		metrics.GaugeFunc(name, func() int64 {
+			registry.mu.Lock()
+			gws := append([]*Gateway(nil), registry.gateways...)
+			registry.mu.Unlock()
+			var total int64
+			for _, g := range gws {
+				total += int64(count(g))
+			}
+			return total
+		})
+	}
+	sum("locgate.shards", func(g *Gateway) int {
+		g.mu.RLock()
+		defer g.mu.RUnlock()
+		return len(g.shards)
 	})
-	metrics.GaugeFunc("locgate.sessions", func() int64 {
-		registry.mu.Lock()
-		gws := append([]*Gateway(nil), registry.gateways...)
-		registry.mu.Unlock()
-		var total int64
-		for _, g := range gws {
-			g.knownMu.Lock()
-			total += int64(len(g.known))
-			g.knownMu.Unlock()
-		}
-		return total
+	sum("locgate.sessions", func(g *Gateway) int {
+		g.knownMu.Lock()
+		defer g.knownMu.Unlock()
+		return len(g.known)
 	})
 }
 
@@ -219,7 +216,7 @@ func (g *Gateway) RemoveShard(name string) ([]string, error) {
 // hold g.mu exclusively.
 func (g *Gateway) drainMovedLocked(next *Ring) ([]string, error) {
 	byOwner := make(map[string][]string)
-	var moved []string
+	moved := []string{} // a JSON array, not null, when nothing moves
 	for _, session := range g.knownSessions() {
 		old := g.ring.Owner(session)
 		if old == "" || old == next.Owner(session) {
@@ -240,14 +237,7 @@ func (g *Gateway) drainMovedLocked(next *Ring) ([]string, error) {
 			continue // owner already departed; sessions rehydrate from the store
 		}
 		sh.waitFlush()
-		q := ""
-		for _, s := range sessions {
-			if q != "" {
-				q += "&"
-			}
-			q += "session=" + url.QueryEscape(s)
-		}
-		resp := sh.do(http.MethodPost, "/v1/drain?"+q, nil)
+		resp := sh.do(http.MethodPost, "/v1/drain?"+url.Values{"session": sessions}.Encode(), nil)
 		if resp.err != nil {
 			fmt.Fprintf(os.Stderr, "locgate: drain %s unreachable (%v); relying on persisted state\n", owner, resp.err)
 			continue
@@ -292,27 +282,72 @@ func (g *Gateway) CloseShards() {
 	g.ring = NewRing(g.ring.vnodes)
 }
 
-// Handler builds the gateway mux: the locserve v1 surface, routed or
-// fanned across shards, plus shard administration and expvar.
+// Handler builds the gateway mux: the serve.Routes table, routed or
+// merged across shards, plus shard administration and expvar.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/ingest", g.handleIngest)
-	mux.HandleFunc("/v1/close", g.handleClose)
-	mux.HandleFunc("/v1/sessions", g.handleSessions)
-	mux.HandleFunc("/v1/snapshot", g.handleSnapshot)
-	mux.HandleFunc("/v1/fleet/fingerprints", g.handleFleetFingerprints)
-	mux.HandleFunc("/v1/fleet/streams", g.handleFleetStreams)
-	mux.HandleFunc("/v1/fleet/clusters", g.handleFleetClusters)
-	mux.HandleFunc("/v1/fleet/drift", g.handleFleetDrift)
-	mux.HandleFunc("/v1/stats", g.proxyBySession("/v1/stats"))
-	mux.HandleFunc("/v1/hotstreams", g.proxyBySession("/v1/hotstreams"))
-	mux.HandleFunc("/v1/locality", g.proxyBySession("/v1/locality"))
-	mux.HandleFunc("/v1/metrics", g.handleMetrics)
-	mux.HandleFunc("/v1/shards", g.handleShards)
-	mux.HandleFunc("/v1/shards/add", g.handleShardAdd)
-	mux.HandleFunc("/v1/shards/remove", g.handleShardRemove)
-	mux.Handle("/debug/vars", expvar.Handler())
+	for path, h := range g.handlers() {
+		mux.Handle(path, h)
+	}
 	return mux
+}
+
+// handlers maps every path the gateway serves to its handler.
+func (g *Gateway) handlers() map[string]http.Handler {
+	hs := serve.Handlers(g.route)
+	admin := func(path, method string, h serve.Handler) {
+		rt := serve.Route{Path: path, Methods: []string{method}}
+		hs[path] = rt.Wrap(h)
+	}
+	admin("/v1/shards", http.MethodGet, g.handleShards)
+	admin("/v1/shards/add", http.MethodPost, g.handleShardAdd)
+	admin("/v1/shards/remove", http.MethodPost, g.handleShardRemove)
+	hs["/debug/vars"] = expvar.Handler()
+	return hs
+}
+
+// route derives the gateway's handler for one table route from its
+// class. Only ingest and close differ from their class: ingest goes
+// through the forwarding queue, and close flushes it first.
+func (g *Gateway) route(rt *serve.Route) serve.Handler {
+	switch {
+	case rt.Path == "/v1/ingest":
+		return g.handleIngest
+	case rt.Path == "/v1/close":
+		return g.handleClose
+	case rt.Class == serve.ShardOnly:
+		return nil
+	}
+	return func(w http.ResponseWriter, r *http.Request, session string) {
+		g.mu.RLock()
+		defer g.mu.RUnlock()
+		if session != "" || rt.Class == serve.Owner || rt.Class == serve.AnyShard {
+			// Every shard gives an AnyShard route the same answer; the
+			// owner of the empty name is as good a shard as any.
+			sh := g.ownerLocked(session)
+			if sh == nil {
+				serve.HTTPError(w, http.StatusServiceUnavailable, "no shards joined")
+				return
+			}
+			relay(w, sh.do(r.Method, rt.Path+"?"+r.URL.RawQuery, nil))
+			return
+		}
+		pathQuery, merge, err := rt.Gather(r.URL, g.workers)
+		if err != nil {
+			serve.HTTPError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		bodies, ok := g.fanOutLocked(w, pathQuery)
+		if !ok {
+			return
+		}
+		doc, err := merge(bodies)
+		if err != nil {
+			serve.HTTPError(w, http.StatusBadGateway, err.Error())
+			return
+		}
+		serve.WriteJSON(w, doc)
+	}
 }
 
 // owner resolves the shard owning a session. Callers hold g.mu (shared
@@ -324,7 +359,7 @@ func (g *Gateway) ownerLocked(session string) *shard {
 // relay writes a proxied shard response through to the client.
 func relay(w http.ResponseWriter, resp response) {
 	if resp.err != nil {
-		httpError(w, http.StatusBadGateway, resp.err.Error())
+		serve.HTTPError(w, http.StatusBadGateway, resp.err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -337,29 +372,20 @@ func relay(w http.ResponseWriter, resp response) {
 // locserve's endpoint — clients point at the gateway and change nothing.
 //
 //lint:hotpath gateway upload path; runs per POST, body copy plus queue round trip
-func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	session := r.URL.Query().Get("session")
-	if session == "" {
-		httpError(w, http.StatusBadRequest, "session query parameter required")
-		return
-	}
+func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request, session string) {
 	// Buffer the body before taking the routing lock: a slow uploader
 	// must not extend the lock hold (and a rebalance must not wait on
 	// someone's network).
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading upload: "+err.Error())
+		serve.HTTPError(w, http.StatusBadRequest, "reading upload: "+err.Error())
 		return
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	sh := g.ownerLocked(session)
 	if sh == nil {
-		httpError(w, http.StatusServiceUnavailable, "no shards joined")
+		serve.HTTPError(w, http.StatusServiceUnavailable, "no shards joined")
 		return
 	}
 	g.knownMu.Lock()
@@ -371,21 +397,12 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // handleClose proxies a close to the owning shard, after flushing the
 // shard's queue so uploads the gateway already accepted land first.
-func (g *Gateway) handleClose(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	session := r.URL.Query().Get("session")
-	if session == "" {
-		httpError(w, http.StatusBadRequest, "session query parameter required")
-		return
-	}
+func (g *Gateway) handleClose(w http.ResponseWriter, r *http.Request, session string) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	sh := g.ownerLocked(session)
 	if sh == nil {
-		httpError(w, http.StatusServiceUnavailable, "no shards joined")
+		serve.HTTPError(w, http.StatusServiceUnavailable, "no shards joined")
 		return
 	}
 	sh.waitFlush()
@@ -400,29 +417,6 @@ func (g *Gateway) handleClose(w http.ResponseWriter, r *http.Request) {
 	relay(w, resp)
 }
 
-// proxyBySession forwards a per-session GET endpoint to the owner.
-func (g *Gateway) proxyBySession(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET required")
-			return
-		}
-		session := r.URL.Query().Get("session")
-		if session == "" {
-			httpError(w, http.StatusBadRequest, "session query parameter required")
-			return
-		}
-		g.mu.RLock()
-		defer g.mu.RUnlock()
-		sh := g.ownerLocked(session)
-		if sh == nil {
-			httpError(w, http.StatusServiceUnavailable, "no shards joined")
-			return
-		}
-		relay(w, sh.get(path+"?"+r.URL.RawQuery))
-	}
-}
-
 // shardList snapshots the shard set for a fan-out. Callers hold g.mu
 // (shared suffices).
 func (g *Gateway) shardListLocked() []*shard {
@@ -434,149 +428,40 @@ func (g *Gateway) shardListLocked() []*shard {
 	return out
 }
 
-// fanGet performs a GET against every shard in parallel and returns the
-// bodies in shard-name order, failing on the first non-200.
-func (g *Gateway) fanGet(shards []*shard, pathQuery string) ([][]byte, error) {
-	bodies, err := parallel.Map(g.workers, len(shards), func(i int) ([]byte, error) {
-		resp := shards[i].get(pathQuery)
-		if resp.err != nil {
-			return nil, resp.err
-		}
-		if resp.status != http.StatusOK {
-			return nil, fmt.Errorf("shard %s: status %d: %s", shards[i].name, resp.status, resp.body)
-		}
-		return resp.body, nil
+// fanOutLocked GETs pathQuery from every shard in parallel and returns
+// the bodies in shard-name order. When a shard fails it answers for the
+// gateway and ok is false: a 4xx is relayed as sent (the request itself
+// is at fault, and a single node would have said the same); a transport
+// error or any other status is a 502. Callers hold g.mu (shared
+// suffices).
+func (g *Gateway) fanOutLocked(w http.ResponseWriter, pathQuery string) (bodies [][]byte, ok bool) {
+	shards := g.shardListLocked()
+	resps, _ := parallel.Map(g.workers, len(shards), func(i int) (response, error) {
+		return shards[i].do(http.MethodGet, pathQuery, nil), nil
 	})
-	return bodies, err
-}
-
-// handleSnapshot serves GET /v1/snapshot?session=NAME by proxy, and the
-// bare GET /v1/snapshot by fanning out to every shard and merging the
-// per-session documents into one map. Each session lives on exactly one
-// shard, the merged keys come out sorted by encoding/json, and each
-// value is the shard engine's canonical snapshot — so the merged bytes
-// are identical to a single locserve holding every session.
-func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if session := r.URL.Query().Get("session"); session != "" {
-		sh := g.ownerLocked(session)
-		if sh == nil {
-			httpError(w, http.StatusServiceUnavailable, "no shards joined")
-			return
+	var failed error
+	for i, resp := range resps {
+		switch {
+		case resp.err == nil && resp.status >= 400 && resp.status < 500:
+			relay(w, resp)
+			return nil, false
+		case resp.err != nil:
+			failed = resp.err
+		case resp.status != http.StatusOK && failed == nil:
+			failed = fmt.Errorf("shard %s: status %d: %s", shards[i].name, resp.status, resp.body)
 		}
-		relay(w, sh.get("/v1/snapshot?"+r.URL.RawQuery))
-		return
+		bodies = append(bodies, resp.body)
 	}
-	shards := g.shardListLocked()
-	bodies, err := g.fanGet(shards, "/v1/snapshot")
-	if err != nil {
-		httpError(w, http.StatusBadGateway, err.Error())
-		return
+	if failed != nil {
+		serve.HTTPError(w, http.StatusBadGateway, failed.Error())
+		return nil, false
 	}
-	merged := make(map[string]json.RawMessage)
-	for i, b := range bodies {
-		var part map[string]json.RawMessage
-		if err := json.Unmarshal(b, &part); err != nil {
-			httpError(w, http.StatusBadGateway, fmt.Sprintf("shard %s: invalid snapshot document: %v", shards[i].name, err))
-			return
-		}
-		for name, snap := range part {
-			merged[name] = snap
-		}
-	}
-	writeJSON(w, merged)
-}
-
-// handleSessions merges every shard's listing, sorted by session name —
-// the same order a single locserve lists.
-func (g *Gateway) handleSessions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	shards := g.shardListLocked()
-	bodies, err := g.fanGet(shards, "/v1/sessions")
-	if err != nil {
-		httpError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	type row struct {
-		session string
-		raw     json.RawMessage
-	}
-	rows := make([]row, 0, 16)
-	for i, b := range bodies {
-		var part struct {
-			Sessions []json.RawMessage `json:"sessions"`
-		}
-		if err := json.Unmarshal(b, &part); err != nil {
-			httpError(w, http.StatusBadGateway, fmt.Sprintf("shard %s: invalid listing: %v", shards[i].name, err))
-			return
-		}
-		for _, raw := range part.Sessions {
-			var key struct {
-				Session string `json:"session"`
-			}
-			if err := json.Unmarshal(raw, &key); err != nil {
-				httpError(w, http.StatusBadGateway, fmt.Sprintf("shard %s: invalid session row: %v", shards[i].name, err))
-				return
-			}
-			rows = append(rows, row{key.Session, raw})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].session < rows[j].session })
-	out := make([]json.RawMessage, len(rows))
-	for i, r := range rows {
-		out[i] = r.raw
-	}
-	writeJSON(w, struct {
-		Sessions []json.RawMessage `json:"sessions"`
-	}{out})
-}
-
-// handleMetrics merges every shard's /v1/metrics with the gateway's own
-// registry: counters and gauges sum, timer tails take the worst shard
-// (obs.MergeSnapshots), and the stable metric names pass through.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	shards := g.shardListLocked()
-	bodies, err := g.fanGet(shards, "/v1/metrics")
-	if err != nil {
-		httpError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	snaps := make([]obs.Snapshot, 0, len(bodies)+1)
-	for i, b := range bodies {
-		var s obs.Snapshot
-		if err := json.Unmarshal(b, &s); err != nil {
-			httpError(w, http.StatusBadGateway, fmt.Sprintf("shard %s: invalid metrics: %v", shards[i].name, err))
-			return
-		}
-		snaps = append(snaps, s)
-	}
-	snaps = append(snaps, metrics.Snapshot())
-	writeJSON(w, obs.MergeSnapshots(snaps...))
+	return bodies, true
 }
 
 // handleShards lists the membership: GET /v1/shards.
-func (g *Gateway) handleShards(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	writeJSON(w, struct {
+func (g *Gateway) handleShards(w http.ResponseWriter, _ *http.Request, _ string) {
+	serve.WriteJSON(w, struct {
 		Shards []ShardInfo `json:"shards"`
 	}{g.Shards()})
 }
@@ -588,59 +473,22 @@ type rebalanceResult struct {
 }
 
 // handleShardAdd joins a shard: POST /v1/shards/add?name=N&url=U.
-func (g *Gateway) handleShardAdd(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
+func (g *Gateway) handleShardAdd(w http.ResponseWriter, r *http.Request, _ string) {
 	moved, err := g.AddShard(r.URL.Query().Get("name"), r.URL.Query().Get("url"))
-	if err != nil {
-		httpError(w, http.StatusConflict, err.Error())
-		return
-	}
-	writeJSON(w, rebalanceResult{Shards: g.Shards(), Moved: sessionsOrEmpty(moved)})
+	g.writeRebalance(w, moved, err)
 }
 
 // handleShardRemove retires a shard: POST /v1/shards/remove?name=N.
-func (g *Gateway) handleShardRemove(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
+func (g *Gateway) handleShardRemove(w http.ResponseWriter, r *http.Request, _ string) {
 	moved, err := g.RemoveShard(r.URL.Query().Get("name"))
+	g.writeRebalance(w, moved, err)
+}
+
+// writeRebalance answers a membership change.
+func (g *Gateway) writeRebalance(w http.ResponseWriter, moved []string, err error) {
 	if err != nil {
-		httpError(w, http.StatusConflict, err.Error())
+		serve.HTTPError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, rebalanceResult{Shards: g.Shards(), Moved: sessionsOrEmpty(moved)})
-}
-
-// sessionsOrEmpty keeps "moved" a JSON array (not null) when nothing
-// moved.
-func sessionsOrEmpty(s []string) []string {
-	if s == nil {
-		return []string{}
-	}
-	return s
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(append(b, '\n'))
-}
-
-// httpError writes a JSON error response.
-//
-//lint:coldpath error responses; never taken on the forwarding path
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(struct {
-		Error string `json:"error"`
-	}{msg})
+	serve.WriteJSON(w, rebalanceResult{Shards: g.Shards(), Moved: moved})
 }

@@ -52,20 +52,10 @@ func (g *Gateway) ProbeShards(now time.Time) int {
 		results[sh.name] = h
 	}
 
+	// The results replace the old map whole, so entries for shards since
+	// removed from membership do not linger.
 	g.healthMu.Lock()
-	if g.health == nil {
-		g.health = make(map[string]shardHealth)
-	}
-	for name, h := range results {
-		g.health[name] = h
-	}
-	// Entries for shards since removed from membership would otherwise
-	// linger forever.
-	for name := range g.health {
-		if _, ok := results[name]; !ok {
-			delete(g.health, name)
-		}
-	}
+	g.health = results
 	g.healthMu.Unlock()
 	return unhealthy
 }

@@ -14,10 +14,10 @@ import (
 // Fleet endpoints: cross-session analysis over this server's live
 // engines. /v1/fleet/fingerprints is the raw per-session material (what
 // the gateway pulls to merge across shards); streams, clusters, and
-// drift are the computed views. Every view goes through internal/fleet
-// with the shared parameter parsing, so a gateway that merges shard
-// fingerprints and calls the same functions produces byte-identical
-// documents.
+// drift are the computed views. Fingerprints, streams and clusters are
+// FleetView routes (routes.go): their query parsing and view function
+// run unchanged on a single node and on the gateway's merged
+// fingerprints, so the documents are byte-identical.
 
 // fingerprints computes one fingerprint per live session, fanned over
 // the worker pool. liveSessions (not by-name lookups) so a fleet scan
@@ -36,68 +36,24 @@ func (s *Server) fingerprints() []*fleet.Fingerprint {
 	return out
 }
 
-// handleFleetFingerprints serves the per-session fingerprints: GET
-// /v1/fleet/fingerprints.
-func (s *Server) handleFleetFingerprints(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	writeJSON(w, fleet.BuildFingerprintsView(s.fingerprints()))
-}
-
-// handleFleetStreams serves the merged top-stream view: GET
-// /v1/fleet/streams?top=N (0 = all).
-func (s *Server) handleFleetStreams(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	top, err := fleet.ParseTop(r.URL.Query().Get("top"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, fleet.TopStreams(s.fingerprints(), top))
-}
-
-// handleFleetClusters serves the session-clustering view: GET
-// /v1/fleet/clusters?threshold=T.
-func (s *Server) handleFleetClusters(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	threshold, err := fleet.ParseThreshold(r.URL.Query().Get("threshold"), fleet.DefaultClusterThreshold)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, fleet.ClusterView(s.fingerprints(), threshold, s.workers))
-}
-
 // handleFleetDrift serves the profile-drift view: GET
 // /v1/fleet/drift?threshold=T compares each live session's fingerprint
 // against its most recent persisted history snapshot. Sessions with no
 // history yet are skipped — there is nothing to have drifted from.
-func (s *Server) handleFleetDrift(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
+func (s *Server) handleFleetDrift(w http.ResponseWriter, r *http.Request, _ string) {
 	if s.st == nil {
-		httpError(w, http.StatusNotFound, "no store configured (start locserve with -store)")
+		HTTPError(w, http.StatusNotFound, "no store configured (start locserve with -store)")
 		return
 	}
 	threshold, err := fleet.ParseThreshold(r.URL.Query().Get("threshold"), fleet.DefaultDriftThreshold)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// History may have been written by another process sharing the store
 	// (a drained shard, a batch run); refresh once so the scan sees it.
 	if err := s.st.Refresh(); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		HTTPError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	sessions := s.liveSessions()
@@ -105,7 +61,7 @@ func (s *Server) handleFleetDrift(w http.ResponseWriter, r *http.Request) {
 		return s.driftRow(sessions[i], threshold)
 	})
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		HTTPError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	out := make([]fleet.DriftRow, 0, len(rows))
@@ -114,7 +70,7 @@ func (s *Server) handleFleetDrift(w http.ResponseWriter, r *http.Request) {
 			out = append(out, *row)
 		}
 	}
-	writeJSON(w, fleet.BuildDriftView(out, threshold))
+	WriteJSON(w, fleet.BuildDriftView(out, threshold))
 }
 
 // driftRow compares one live session against its latest history

@@ -270,29 +270,13 @@ func New(opts online.Options, workers int, st *store.Store) *Server {
 	return s
 }
 
-// handler builds the service mux: the v1 API plus expvar and pprof
-// diagnostics.
+// Handler builds the service mux: the v1 API (Routes) plus expvar and
+// pprof diagnostics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/ingest", s.handleIngest)
-	mux.HandleFunc("/v1/close", s.handleClose)
-	mux.HandleFunc("/v1/drain", s.handleDrain)
-	mux.HandleFunc("/v1/history", s.handleHistory)
-	mux.HandleFunc("/v1/sessions", s.handleSessions)
-	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/v1/fleet/fingerprints", s.handleFleetFingerprints)
-	mux.HandleFunc("/v1/fleet/streams", s.handleFleetStreams)
-	mux.HandleFunc("/v1/fleet/clusters", s.handleFleetClusters)
-	mux.HandleFunc("/v1/fleet/drift", s.handleFleetDrift)
-	mux.HandleFunc("/v1/stats", s.sectionHandler(func(sn *online.Snapshot) any { return sn.Trace }))
-	mux.HandleFunc("/v1/hotstreams", s.sectionHandler(func(sn *online.Snapshot) any {
-		return struct {
-			Threshold  any `json:"threshold"`
-			HotStreams any `json:"hotStreams"`
-		}{sn.Threshold, sn.HotStreams}
-	}))
-	mux.HandleFunc("/v1/locality", s.sectionHandler(func(sn *online.Snapshot) any { return sn.Locality }))
-	mux.HandleFunc("/v1/metrics", handleMetrics)
+	for path, h := range Handlers(s.local) {
+		mux.Handle(path, h)
+	}
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -383,20 +367,6 @@ func (s *Server) newSession(name string, engine *online.Engine) *session {
 	return sess
 }
 
-// sessionNames returns the session names in sorted order. Sorting here
-// is what makes /v1/sessions and the all-session snapshot deterministic:
-// iteration elsewhere goes through this slice, never the raw map.
-func (s *Server) sessionNames() []string {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.sessions))
-	for n := range s.sessions {
-		names = append(names, n)
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	return names
-}
-
 // liveSessions snapshots the in-memory sessions in sorted name order.
 // Listing paths use this instead of getSession so that enumerating
 // sessions never rehydrates handoff state — a /v1/sessions fan-out or a
@@ -450,26 +420,17 @@ func (sess *session) statusLocked() sessionStatus {
 // in arrival order.
 //
 //lint:hotpath serves the live upload stream; runs per POST with the decode loop inside
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	name := r.URL.Query().Get("session")
-	if name == "" {
-		httpError(w, http.StatusBadRequest, "session query parameter required")
-		return
-	}
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, name string) {
 	sess, err := s.getSession(name, true)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		HTTPError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if !sess.beginIngest() {
 		// A concurrent close finalized the session after we resolved the
 		// pointer: the engine (and its final snapshot) is gone, so
 		// appending would silently drop these records from history.
-		httpError(w, http.StatusGone, "session "+name+" is closed")
+		HTTPError(w, http.StatusGone, "session "+name+" is closed")
 		return
 	}
 	defer sess.ingestWG.Done()
@@ -483,7 +444,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Records decoded before the error are already ingested; report
 		// both the partial progress and the failure.
-		httpError(w, http.StatusBadRequest,
+		HTTPError(w, http.StatusBadRequest,
 			"after "+strconv.FormatUint(n, 10)+" events: "+err.Error())
 		return
 	}
@@ -494,49 +455,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 //
 //lint:coldpath response writer; runs once per POST, after the decode loop has drained
 func writeIngestResponse(w http.ResponseWriter, n uint64, status sessionStatus) {
-	writeJSON(w, struct {
+	WriteJSON(w, struct {
 		Ingested uint64 `json:"ingested"`
 		sessionStatus
 	}{n, status})
 }
 
-// handleMetrics serves the structured observability snapshot: GET
-// /v1/metrics returns every counter, gauge, and duration histogram
-// (count, total, p50, p99) in the process registry — including the
-// "pipeline.stage.*" timers the stage runner populates on every
-// snapshot, ingest decode counters, and the worker-pool gauges. The
-// same data is mirrored flat into /debug/vars; this endpoint is the
-// structured view monitoring scrapes.
-func handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	writeJSON(w, metrics.Snapshot())
-}
-
-// handleSessions lists every session: GET /v1/sessions. HEAD answers
-// without building the listing — the cheap liveness probe the gateway's
-// shard health checker hits on every cycle.
-func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodHead {
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
+// handleSessions lists every session: GET /v1/sessions.
+func (s *Server) handleSessions(w http.ResponseWriter, _ *http.Request, _ string) {
 	sessions := s.liveSessions()
-	out := make([]sessionStatus, 0, len(sessions))
+	out := sessionListing{Sessions: make([]sessionStatus, 0, len(sessions))}
 	for _, sess := range sessions {
 		sess.mu.Lock()
-		out = append(out, sess.statusLocked())
+		out.Sessions = append(out.Sessions, sess.statusLocked())
 		sess.mu.Unlock()
 	}
-	writeJSON(w, struct {
-		Sessions []sessionStatus `json:"sessions"`
-	}{out})
+	WriteJSON(w, out)
 }
 
 // snapshotSession runs online detection for one session. The session
@@ -567,28 +501,10 @@ func (sess *session) snapshot() *online.Snapshot {
 // to locserve -batch over the same records when eviction is off), or GET
 // /v1/snapshot for every session keyed by name, the per-session
 // detections fanned out across the worker pool.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if name := r.URL.Query().Get("session"); name != "" {
-		snap, ok, err := s.snapshotSession(name)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		if !ok {
-			httpError(w, http.StatusNotFound, "unknown session "+name)
-			return
-		}
-		b, err := snap.MarshalIndent()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(b)
+func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request, name string) {
+	if name != "" {
+		// WriteJSON encodes exactly as Snapshot.MarshalIndent does.
+		s.writeSession(w, name, func(sn *online.Snapshot) any { return sn })
 		return
 	}
 	// liveSessions (not by-name lookups) so the fan-out never rehydrates
@@ -604,32 +520,27 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			out[sess.name] = snaps[i]
 		}
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
-// sectionHandler serves one snapshot section for a required session.
-func (s *Server) sectionHandler(section func(*online.Snapshot) any) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET required")
-			return
-		}
-		name := r.URL.Query().Get("session")
-		if name == "" {
-			httpError(w, http.StatusBadRequest, "session query parameter required")
-			return
-		}
-		snap, ok, err := s.snapshotSession(name)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		if !ok {
-			httpError(w, http.StatusNotFound, "unknown session "+name)
-			return
-		}
-		writeJSON(w, section(snap))
+// section serves one snapshot section of a session.
+func section(part func(*online.Snapshot) any) func(*Server, http.ResponseWriter, *http.Request, string) {
+	return func(s *Server, w http.ResponseWriter, _ *http.Request, name string) { s.writeSession(w, name, part) }
+}
+
+// writeSession writes the part of one session's snapshot that part
+// selects.
+func (s *Server) writeSession(w http.ResponseWriter, name string, part func(*online.Snapshot) any) {
+	snap, ok, err := s.snapshotSession(name)
+	if err != nil {
+		HTTPError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
+	if !ok {
+		HTTPError(w, http.StatusNotFound, "unknown session "+name)
+		return
+	}
+	WriteJSON(w, part(snap))
 }
 
 // CloseResult is the /v1/close and /v1/drain response body (and one row
@@ -690,23 +601,10 @@ func (s *Server) closeSession(name string, handoff bool) (CloseResult, bool, err
 	if err != nil {
 		return res, true, err
 	}
-	d, n, err := s.st.PutBytes(b)
-	if err != nil {
-		return res, true, err
-	}
 	// History entries are numbered per session in arrival order; the
 	// store lists names sorted, so zero-padding keeps history ordered.
 	seq := len(s.st.Names("history/"+name+"/")) + 1
-	res.Artifact = fmt.Sprintf("history/%s/%04d", name, seq)
-	res.Digest = d
-	err = s.st.Put(res.Artifact, store.Artifact{
-		Kind: store.KindSnapshot, Digest: d, Size: n,
-		Meta: map[string]string{
-			"session": name,
-			"events":  strconv.FormatUint(res.Events, 10),
-		},
-	})
-	return res, true, err
+	return res, true, s.persist(&res, fmt.Sprintf("history/%s/%04d", name, seq), store.KindSnapshot, b)
 }
 
 // persistStateLocked serializes a drained session's engine into the
@@ -721,18 +619,20 @@ func (s *Server) persistStateLocked(sess *session, res *CloseResult) error {
 	if _, err := sess.engine.WriteState(&buf); err != nil {
 		return fmt.Errorf("serializing session %s: %w", sess.name, err)
 	}
-	d, n, err := s.st.PutBytes(buf.Bytes())
+	return s.persist(res, stateArtifact(sess.name), store.KindState, buf.Bytes())
+}
+
+// persist stores b as the named artifact of a closing session and
+// records it in res.
+func (s *Server) persist(res *CloseResult, name, kind string, b []byte) error {
+	d, n, err := s.st.PutBytes(b)
 	if err != nil {
 		return err
 	}
-	res.Artifact = stateArtifact(sess.name)
-	res.Digest = d
-	return s.st.Put(res.Artifact, store.Artifact{
-		Kind: store.KindState, Digest: d, Size: n,
-		Meta: map[string]string{
-			"session": sess.name,
-			"events":  strconv.FormatUint(res.Events, 10),
-		},
+	res.Artifact, res.Digest = name, d
+	return s.st.Put(name, store.Artifact{
+		Kind: kind, Digest: d, Size: n,
+		Meta: map[string]string{"session": res.Session, "events": strconv.FormatUint(res.Events, 10)},
 	})
 }
 
@@ -742,10 +642,10 @@ func (s *Server) persistStateLocked(sess *session, res *CloseResult) error {
 // history snapshots.
 func (s *Server) CloseAll(handoff bool) []CloseResult {
 	var out []CloseResult
-	for _, name := range s.sessionNames() {
-		if res, ok, err := s.closeSession(name, handoff); ok {
+	for _, sess := range s.liveSessions() {
+		if res, ok, err := s.closeSession(sess.name, handoff); ok {
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "locserve: persisting %s: %v\n", name, err)
+				fmt.Fprintf(os.Stderr, "locserve: persisting %s: %v\n", sess.name, err)
 			}
 			out = append(out, res)
 		}
@@ -759,31 +659,22 @@ func (s *Server) CloseAll(handoff bool) []CloseResult {
 // client (or CI job) can hand the ref straight to locdiff. With
 // &state=1 the close is a handoff instead: the live engine state is
 // persisted (store required) and the session's next owner resumes it.
-func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	name := r.URL.Query().Get("session")
-	if name == "" {
-		httpError(w, http.StatusBadRequest, "session query parameter required")
-		return
-	}
+func (s *Server) handleClose(w http.ResponseWriter, r *http.Request, name string) {
 	handoff := r.URL.Query().Get("state") == "1"
 	if handoff && s.st == nil {
-		httpError(w, http.StatusConflict, "state=1 requires a store (start locserve with -store)")
+		HTTPError(w, http.StatusConflict, "state=1 requires a store (start locserve with -store)")
 		return
 	}
 	res, ok, err := s.closeSession(name, handoff)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown session "+name)
+		HTTPError(w, http.StatusNotFound, "unknown session "+name)
 		return
 	}
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Sprintf("persisting session: %v", err))
+		HTTPError(w, http.StatusInternalServerError, fmt.Sprintf("persisting session: %v", err))
 		return
 	}
-	writeJSON(w, res)
+	WriteJSON(w, res)
 }
 
 // handleDrain evacuates sessions for a rebalance: POST /v1/drain hands
@@ -792,31 +683,29 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 // state into the shared store, and is removed. The gateway calls this
 // on the old owner before re-routing; the new owner rehydrates from the
 // state artifact on its first ingest or snapshot.
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
+func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request, _ string) {
 	if s.st == nil {
-		httpError(w, http.StatusConflict, "drain requires a store (start locserve with -store)")
+		HTTPError(w, http.StatusConflict, "drain requires a store (start locserve with -store)")
 		return
 	}
 	names := r.URL.Query()["session"]
 	if len(names) == 0 {
-		names = s.sessionNames()
+		for _, sess := range s.liveSessions() {
+			names = append(names, sess.name)
+		}
 	}
 	out := make([]CloseResult, 0, len(names))
 	for _, name := range names {
 		res, ok, err := s.closeSession(name, true)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, fmt.Sprintf("draining %s: %v", name, err))
+			HTTPError(w, http.StatusInternalServerError, fmt.Sprintf("draining %s: %v", name, err))
 			return
 		}
 		if ok {
 			out = append(out, res)
 		}
 	}
-	writeJSON(w, struct {
+	WriteJSON(w, struct {
 		Drained []CloseResult `json:"drained"`
 	}{out})
 }
@@ -833,24 +722,27 @@ type historyEntry struct {
 // handleHistory serves persisted snapshots: GET /v1/history lists every
 // history artifact; GET /v1/history?name=history/S/0001 returns the
 // stored snapshot JSON byte-for-byte.
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, _ string) {
+	if s.st == nil {
+		HTTPError(w, http.StatusNotFound, "no store configured (start locserve with -store)")
 		return
 	}
-	if s.st == nil {
-		httpError(w, http.StatusNotFound, "no store configured (start locserve with -store)")
+	// Another process sharing the store (another shard, a batch run) may
+	// have closed sessions since this handle last looked; refreshing
+	// first is what lets any one shard answer for the cluster.
+	if err := s.st.Refresh(); err != nil {
+		HTTPError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if name := r.URL.Query().Get("name"); name != "" {
 		a, ok := s.st.Get(name)
 		if !ok || a.Kind != store.KindSnapshot {
-			httpError(w, http.StatusNotFound, "unknown history artifact "+name)
+			HTTPError(w, http.StatusNotFound, "unknown history artifact "+name)
 			return
 		}
 		b, err := s.st.ReadBlob(a.Digest)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
+			HTTPError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -872,15 +764,17 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			Size:    a.Size,
 		})
 	}
-	writeJSON(w, struct {
+	WriteJSON(w, struct {
 		History []historyEntry `json:"history"`
 	}{out})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON writes v as indented JSON: the one encoder behind every
+// document a node or the gateway serves.
+func WriteJSON(w http.ResponseWriter, v any) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		HTTPError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -889,10 +783,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_, _ = w.Write(append(b, '\n'))
 }
 
-// httpError writes a JSON error response.
+// HTTPError writes a JSON error response.
 //
 //lint:coldpath error responses; never taken on the per-record decode loop
-func httpError(w http.ResponseWriter, code int, msg string) {
+func HTTPError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(struct {
