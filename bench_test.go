@@ -467,3 +467,30 @@ func BenchmarkOnlineSnapshot(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOnlineSnapshotFamilies measures the same /v1/snapshot pass on
+// 30k-reference sessions of two families at the ends of the threshold
+// search's range: 255.vortex (a few long streams, so the search probes
+// many multiples) and 176.gcc (many short streams, so each probe's
+// matching automaton is large). It is kept apart from
+// BenchmarkOnlineSnapshot, whose sub-benchmark names the pipeline
+// overhead script matches exactly.
+func BenchmarkOnlineSnapshotFamilies(b *testing.B) {
+	for _, bench := range []string{"255.vortex", "176.gcc"} {
+		b.Run(bench, func(b *testing.B) {
+			buf, err := workload.Generate(bench, 30_000, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := online.NewEngine(online.Options{})
+			e.Ingest(buf.Events())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if s := e.Snapshot(); s.Trace.Refs == 0 {
+					b.Fatal("empty snapshot")
+				}
+			}
+		})
+	}
+}
