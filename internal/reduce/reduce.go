@@ -87,7 +87,8 @@ func Run(names []uint64, totalAddrs uint64, opts Options) *Pipeline {
 }
 
 // RunStaged is Run with each level's four phases — SEQUITUR compression,
-// threshold search, detection, exact measurement — routed through the
+// threshold search, detection (skipped when the search already detected
+// at the chosen heat), exact measurement — routed through the
 // shared stage runner, so per-phase wall time lands in the
 // "pipeline.stage.*" timers and CPU samples carry stage labels. A nil
 // pc runs the phases plain; the result is identical either way (the
@@ -131,6 +132,7 @@ func RunStaged(pc *pipeline.Context, names []uint64, totalAddrs uint64, opts Opt
 		src := hotstream.SliceSource(cur)
 		dag := hotstream.NewDAGSource(w.DAG)
 		var th hotstream.Threshold
+		var searched *hotstream.Measurement
 		_ = pc.Time(pipeline.StageThreshold, func() error {
 			if opts.FixedMultiple > 0 {
 				th = hotstream.FixedThreshold(opts.FixedMultiple, uint64(len(cur)), curAddrs)
@@ -138,18 +140,31 @@ func RunStaged(pc *pipeline.Context, names []uint64, totalAddrs uint64, opts Opt
 				scfg := hotstream.SearchConfig{
 					MinLen: opts.MinLen, MaxLen: opts.MaxLen, CoverageTarget: opts.CoverageTarget,
 				}
-				th, _ = hotstream.FindThreshold(dag, src, uint64(len(cur)), curAddrs, scfg)
+				th, searched = hotstream.FindThreshold(dag, src, uint64(len(cur)), curAddrs, scfg)
 			}
 			return nil
 		})
 		level.Threshold = th
 
-		// Re-run detection+measurement at the chosen heat, emitting the
-		// reduced trace for the next level.
+		// Measure at the chosen heat once more, this time emitting the
+		// reduced trace for the next level. A search has already
+		// detected and measured at this heat, and its measured streams
+		// stand in for a fresh Detect: each kept stream had at least two
+		// non-overlapping occurrences in this same input, and the
+		// matcher counts every stream's occurrences independently of the
+		// other streams, so re-measuring the kept set alone drops
+		// nothing. The frequencies and gaps are then the same, coverage
+		// is the union over the same kept set (which is what the search
+		// measurement reported after its own drop), and the dense IDs
+		// come out in the same order.
 		cfg := hotstream.Config{MinLen: opts.MinLen, MaxLen: opts.MaxLen, Heat: th.Heat}
 		var streams []*hotstream.Stream
 		_ = pc.Time(pipeline.StageDetect, func() error {
-			streams = hotstream.Detect(dag, cfg)
+			if searched != nil {
+				streams = searched.Streams
+			} else {
+				streams = hotstream.Detect(dag, cfg)
+			}
 			return nil
 		})
 		base := maxSymbol(cur) + 1
