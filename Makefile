@@ -109,6 +109,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadEngine -fuzztime=30s ./internal/online/
 	$(GO) test -fuzz=FuzzReadStreamer -fuzztime=30s ./internal/online/
 	$(GO) test -fuzz=FuzzReadStatsAccum -fuzztime=30s ./internal/online/
+	$(GO) test -fuzz=FuzzDetect -fuzztime=30s ./internal/hotstream/
 
 # The CI-sized fuzz pass: 10 seconds per target.
 fuzz-smoke:
@@ -119,6 +120,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadEngine -fuzztime=10s ./internal/online/
 	$(GO) test -fuzz=FuzzReadStreamer -fuzztime=10s ./internal/online/
 	$(GO) test -fuzz=FuzzReadStatsAccum -fuzztime=10s ./internal/online/
+	$(GO) test -fuzz=FuzzDetect -fuzztime=10s ./internal/hotstream/
 
 cover:
 	$(GO) test -cover ./internal/...
