@@ -11,7 +11,10 @@
 // per-reference arrays), and SEQUITUR grammar growth (sequitur's Append
 // is online by construction). Snapshot then freezes the grammar into its
 // DAG view and runs the same threshold search, detection, and exact
-// measurement passes the batch pipeline runs.
+// measurement passes the batch pipeline runs. The engine remembers the
+// threshold its last search returned, keyed by the event count it saw, so
+// a repeat Snapshot of an unchanged session runs one detection probe at
+// that threshold instead of the whole search.
 //
 // Equivalence guarantee: with eviction disabled (Options.MaxRules == 0),
 // a Snapshot taken after the trace is fully consumed is bit-identical to
@@ -129,6 +132,14 @@ type Engine struct {
 	chunks    uint64
 	evictions uint64
 	dagFresh  bool // grammar unchanged since the last Snapshot's DAG
+
+	// searched is the threshold the last search returned, and searchedAt
+	// the event count it was computed at (valid only when searchedOK). A
+	// later Snapshot at the same count reuses it instead of searching:
+	// only a non-empty Ingest changes the input, and it advances events.
+	searched   hotstream.Threshold
+	searchedAt uint64
+	searchedOK bool
 
 	// appendErr latches the first grammar growth failure (the arena's
 	// typed symbol-space overflow). The abstraction sink that feeds
@@ -269,8 +280,16 @@ func (e *Engine) Stats() trace.Stats { return e.acc.Stats() }
 // regenerated reference sequence, and the locality metrics are
 // summarized. A search already detects and measures at the heat it
 // returns, so the detect and measure stages only do work for a fixed
-// multiple. The engine remains appendable afterwards; nothing computed
-// here outlives the call.
+// multiple or a remembered threshold.
+//
+// The threshold a search returns is remembered with the event count it
+// was computed at. A later Snapshot at the same count skips the search
+// and detects and measures once at the remembered heat, which yields
+// exactly the search's final measurement, so the snapshot's bytes are
+// unchanged. Any non-empty Ingest advances the count (eviction runs only
+// inside Ingest), and a restored engine starts with nothing remembered.
+// Nothing else computed here outlives the call; the engine remains
+// appendable afterwards.
 // Every phase runs as a named stage through the shared runner
 // (internal/pipeline) — the same stage names the batch pipeline uses —
 // so a serving process's obs registry accumulates per-stage latency
@@ -299,14 +318,18 @@ func (e *Engine) Snapshot() *Snapshot {
 			return nil
 		}},
 		pipeline.Stage{Name: pipeline.StageThreshold, Run: func(*pipeline.Context) error {
-			if e.opts.FixedHeatMultiple > 0 {
+			switch {
+			case e.opts.FixedHeatMultiple > 0:
 				th = hotstream.FixedThreshold(e.opts.FixedHeatMultiple, refs, stats.Addresses)
-			} else {
+			case e.searchedOK && e.searchedAt == e.events:
+				th = e.searched
+			default:
 				th, meas = hotstream.FindThreshold(dsrc, e.g, refs, stats.Addresses, hotstream.SearchConfig{
 					MinLen:         e.opts.MinStreamLen,
 					MaxLen:         e.opts.MaxStreamLen,
 					CoverageTarget: e.opts.CoverageTarget,
 				})
+				e.searched, e.searchedAt, e.searchedOK = th, e.events, true
 			}
 			cfg = hotstream.Config{MinLen: e.opts.MinStreamLen, MaxLen: e.opts.MaxStreamLen, Heat: th.Heat}
 			return nil
