@@ -147,3 +147,34 @@ func TestGatewayHistory(t *testing.T) {
 		checkFleetEqual(t, c, o, "/v1/history?name="+res.Artifact)
 	}
 }
+
+// TestGatewayRejectsNullFingerprint: a shard whose fingerprint listing
+// holds a null entry is a bad upstream answer. Every fleet view the
+// gateway computes from the listing answers 502 instead of panicking.
+func TestGatewayRejectsNullFingerprint(t *testing.T) {
+	gw := New(0, 2, nil)
+	gwTS := httptest.NewServer(gw.Handler())
+	t.Cleanup(func() {
+		gwTS.Close()
+		gw.CloseShards()
+	})
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/fleet/fingerprints" {
+			http.NotFound(w, r)
+			return
+		}
+		fmt.Fprint(w, `{"sessions":2,"fingerprints":[null,{"session":"b","sessions":1,"streams":[]}]}`)
+	}))
+	t.Cleanup(shard.Close)
+	if _, err := gw.AddShard("bad", shard.URL); err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range serve.Routes {
+		if rt.Class != serve.FleetView {
+			continue
+		}
+		if code, body := get(t, gwTS.URL+rt.Path); code != http.StatusBadGateway {
+			t.Errorf("%s: status %d (%s), want %d", rt.Path, code, body, http.StatusBadGateway)
+		}
+	}
+}
