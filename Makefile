@@ -110,6 +110,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadStreamer -fuzztime=30s ./internal/online/
 	$(GO) test -fuzz=FuzzReadStatsAccum -fuzztime=30s ./internal/online/
 	$(GO) test -fuzz=FuzzDetect -fuzztime=30s ./internal/hotstream/
+	$(GO) test -fuzz=FuzzMergeFingerprints -fuzztime=30s ./internal/serve/
+	$(GO) test -fuzz=FuzzStoreManifest -fuzztime=30s ./internal/store/
 
 # The CI-sized fuzz pass: 10 seconds per target.
 fuzz-smoke:
@@ -121,6 +123,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadStreamer -fuzztime=10s ./internal/online/
 	$(GO) test -fuzz=FuzzReadStatsAccum -fuzztime=10s ./internal/online/
 	$(GO) test -fuzz=FuzzDetect -fuzztime=10s ./internal/hotstream/
+	$(GO) test -fuzz=FuzzMergeFingerprints -fuzztime=10s ./internal/serve/
+	$(GO) test -fuzz=FuzzStoreManifest -fuzztime=10s ./internal/store/
 
 cover:
 	$(GO) test -cover ./internal/...
