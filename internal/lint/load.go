@@ -146,7 +146,8 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 // walkDirs lists start and every subdirectory, pruning VCS, output, and
 // testdata directories (testdata stays prunable so fixture packages with
 // deliberate findings do not fail "./..." runs; name them explicitly to
-// lint them).
+// lint them). A subdirectory holding its own go.mod is another module,
+// so it is pruned too, as the go command's "./..." prunes it.
 func walkDirs(start string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(start, func(path string, d fs.DirEntry, err error) error {
@@ -159,6 +160,9 @@ func walkDirs(start string) ([]string, error) {
 		if path != start {
 			name := d.Name()
 			if name == "testdata" || name == "out" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 		}

@@ -1,7 +1,10 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,6 +40,43 @@ func TestLoadRecursiveSkipsTestdata(t *testing.T) {
 	}
 	if len(paths) == 0 {
 		t.Fatal("no packages loaded")
+	}
+}
+
+// TestWalkDirsPrunesNestedModules: a subdirectory with its own go.mod is
+// another module, which "./..." leaves out as the go command does; the
+// start directory is walked even when it is a module root itself.
+func TestWalkDirsPrunesNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for _, dir := range []string{"a", "a/b", "nested", "nested/c"} {
+		if err := os.MkdirAll(filepath.Join(root, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mod := range []string{"go.mod", "nested/go.mod"} {
+		if err := os.WriteFile(filepath.Join(root, mod), []byte("module m\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for start, want := range map[string][]string{
+		"":       {"", "a", "a/b"},
+		"nested": {"nested", "nested/c"},
+	} {
+		dirs, err := walkDirs(filepath.Join(root, start))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, d := range dirs {
+			rel, err := filepath.Rel(root, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, strings.TrimPrefix(filepath.ToSlash(rel), "."))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("walkDirs(%q) = %q, want %q", start, got, want)
+		}
 	}
 }
 
