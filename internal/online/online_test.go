@@ -104,7 +104,8 @@ func TestChunkingInvariance(t *testing.T) {
 
 // TestSnapshotThenAppend interleaves snapshots with ingestion: the
 // engine must remain appendable after a snapshot (DAG-layer caches are
-// invalidated) and the final state must still match batch.
+// invalidated), a threshold remembered before an ingest must not be
+// reused after it, and the final state must still match batch.
 func TestSnapshotThenAppend(t *testing.T) {
 	b := genTrace(t, "boxsim", 20_000)
 	events := b.Events()
@@ -116,16 +117,14 @@ func TestSnapshotThenAppend(t *testing.T) {
 	if mid.Trace.Refs == 0 {
 		t.Fatal("mid-stream snapshot saw no references")
 	}
+	_ = e.Snapshot()
 	e.Ingest(events[third : 2*third])
+	_ = e.Snapshot()
 	_ = e.Snapshot()
 	e.Ingest(events[2*third:])
 
 	batch := core.Analyze(b, core.Options{SkipPotential: true})
-	want := snapshotJSON(t, SnapshotFromAnalysis(batch))
-	got := snapshotJSON(t, e.Snapshot())
-	if !bytes.Equal(got, want) {
-		t.Error("final snapshot after interleaved snapshots differs from batch")
-	}
+	requireRepeatMatches(t, e, snapshotJSON(t, SnapshotFromAnalysis(batch)))
 }
 
 // TestIngestReader checks the encoded-stream path: decoding a network
