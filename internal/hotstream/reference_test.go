@@ -151,20 +151,10 @@ type candidate struct {
 	freq uint64
 }
 
-// detectReference is the string-keyed Detect this package shipped before
-// its flat window table: every window is copied into an 8-byte-per-symbol
-// string key of one map. It is kept unchanged as the differential oracle
-// the current Detect must agree with exactly.
-//
-// It enumerates minimal hot data streams on the DAG: Larus's postorder
-// traversal, visiting each node once and, at each interior node, examining
-// the data streams formed by concatenating subsequences that span the
-// boundaries between the node's descendants (streams produced wholly by a
-// descendant are found when that descendant is visited). Runs in
-// O(E·L) sites with per-site work bounded by the minimal hot length at
-// that site.
-func detectReference(d dagView, cfg Config) []*Stream {
-	cfg.normalize()
+// referenceCandidates is detectReference's window enumeration: every
+// distinct boundary-crossing window with its summed occurrence mass,
+// keyed by its bytes.
+func referenceCandidates(d dagView, cfg Config) map[string]*candidate {
 	cands := make(map[string]*candidate)
 	var keyBuf []byte
 
@@ -237,6 +227,24 @@ func detectReference(d dagView, cfg Config) []*Stream {
 			}
 		}
 	}
+	return cands
+}
+
+// detectReference is the string-keyed Detect this package shipped before
+// its flat window table: every window is copied into an 8-byte-per-symbol
+// string key of one map. It is kept unchanged as the differential oracle
+// the current Detect must agree with exactly.
+//
+// It enumerates minimal hot data streams on the DAG: Larus's postorder
+// traversal, visiting each node once and, at each interior node, examining
+// the data streams formed by concatenating subsequences that span the
+// boundaries between the node's descendants (streams produced wholly by a
+// descendant are found when that descendant is visited). Runs in
+// O(E·L) sites with per-site work bounded by the minimal hot length at
+// that site.
+func detectReference(d dagView, cfg Config) []*Stream {
+	cfg.normalize()
+	cands := referenceCandidates(d, cfg)
 
 	// Aggregate, filter by heat, and enforce minimality: process by
 	// increasing length so a stream with a hot proper prefix is dropped.
@@ -303,6 +311,61 @@ func TestDetectMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHotCandidatesMatchReference compares the candidates that pass the
+// heat filter, before minimality, with the oracle's: minimality hides a
+// missing candidate whenever a shorter hot prefix would have dropped it,
+// so the stream lists alone do not pin the window enumeration. Among
+// the DAGs is one whose affixes are shorter than the windows.
+func TestHotCandidatesMatchReference(t *testing.T) {
+	for _, bench := range []string{"boxsim", "197.parser", "252.eon", "255.vortex"} {
+		buf, err := workload.Generate(bench, 30_000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := abstract.New(abstract.BirthID).Abstract(buf).Names
+		g := sequitur.New()
+		g.AppendAll(names)
+		for _, c := range []struct {
+			affix  int
+			maxLen int
+			heats  []uint64
+		}{{100, 100, []uint64{2, 5, 17, 33, 67, 150}}, {4, 12, []uint64{3, 6, 9, 12}}} {
+			d := NewDAGSource(sequitur.NewDAG(g, c.affix))
+			for _, heat := range c.heats {
+				cfg := Config{MinLen: 2, MaxLen: c.maxLen, Heat: heat}
+				want := map[string]uint64{}
+				for k, cand := range referenceCandidates(d, cfg) {
+					if cand.freq >= 2 && uint64(len(cand.seq))*cand.freq >= heat {
+						want[k] = cand.freq
+					}
+				}
+				wt := newWindowTable()
+				detect(d, cfg, wt)
+				got := map[string]uint64{}
+				for i := range wt.cands {
+					cand := &wt.cands[i]
+					if cand.freq >= 2 && uint64(cand.n)*cand.freq >= heat {
+						got[seqKey(wt.seq(cand))] = cand.freq
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s affix %d heat %d: %d hot candidates, reference %d", bench, c.affix, heat, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// seqKey is referenceCandidates' key for a window.
+func seqKey(win []uint64) string {
+	b := make([]byte, 0, 8*len(win))
+	for _, v := range win {
+		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
+			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+	}
+	return string(b)
 }
 
 func firstStreamDiff(a, b []*Stream) int {
