@@ -82,9 +82,6 @@ func ScanOccurrences(names []uint64, streams []*Stream, fn func(id, start, lengt
 // single symbols, cold references elided).
 func Measure(src walker, streams []*Stream, cfg Config, streamBase uint64, emitReduced bool) *Measurement {
 	cfg.normalize()
-	for _, s := range streams {
-		s.Freq, s.GapSum, s.lastEnd, s.seen = 0, 0, 0, false
-	}
 	tr := trieOf(streams)
 	tr.buildFailLinks()
 	m := &Measurement{StreamBase: streamBase}
@@ -92,58 +89,14 @@ func Measure(src walker, streams []*Stream, cfg Config, streamBase uint64, emitR
 	// Pass 1: Aho-Corasick scan. Matches are discovered in end-position
 	// order, so per-stream non-overlap greediness and union coverage
 	// both work with simple watermarks.
-	var (
-		state    int32
-		pos      uint64 // index of the symbol being processed
-		unionEnd uint64 // exclusive end of the covered-union watermark
-		covered  uint64
-	)
-	onMatch := func(id int32, end uint64) {
-		s := streams[id]
-		length := uint64(len(s.Seq))
-		start := end - length
-		// Union coverage counts every occurrence — a reference inside
-		// an occurrence participates in the stream even if that
-		// occurrence overlaps a counted one.
-		if start >= unionEnd {
-			covered += length
-			unionEnd = end
-		} else if end > unionEnd {
-			covered += end - unionEnd
-			unionEnd = end
-		}
-		// Regularity frequency counts maximal non-overlapping
-		// occurrences (§2.2), greedy from the left.
-		if s.seen && start < s.lastEnd {
-			return
-		}
-		if s.seen {
-			s.GapSum += start - s.lastEnd
-		} else {
-			s.seen = true
-		}
-		s.Freq++
-		s.lastEnd = end
+	sc := acScan{tr: tr, occ: make([]streamOcc, len(streams))}
+	eachChunk(src, sc.scan)
+	for i, s := range streams {
+		s.Freq, s.GapSum = sc.occ[i].freq, sc.occ[i].gapSum
 	}
-	src.Walk(func(v uint64) bool {
-		state = tr.step(state, v)
-		end := pos + 1
-		// Report the match at this node (if terminating) and every
-		// shorter match on the output chain.
-		n := state
-		if tr.nodes[n].streamID < 0 {
-			n = tr.nodes[n].out
-		}
-		for n > 0 {
-			onMatch(tr.nodes[n].streamID, end)
-			n = tr.nodes[n].out
-		}
-		pos++
-		return true
-	})
-	m.TotalRefs = pos
-	m.CoveredRefs = covered
-	m.ColdRefs = m.TotalRefs - covered
+	m.TotalRefs = sc.pos
+	m.CoveredRefs = sc.covered
+	m.ColdRefs = m.TotalRefs - sc.covered
 
 	// Keep only streams with regularity (>= 2 non-overlapping
 	// occurrences), renumbering densely.
@@ -179,22 +132,41 @@ func Measure(src walker, streams []*Stream, cfg Config, streamBase uint64, emitR
 	return m
 }
 
-// reunion recomputes union coverage over the kept streams only.
-func reunion(src walker, streams []*Stream, cfg Config) (covered, cold uint64) {
-	tr := trieOf(streams)
-	tr.buildFailLinks()
-	var state int32
-	var pos, unionEnd, total uint64
-	src.Walk(func(v uint64) bool {
+// acScan is the state of an Aho-Corasick pass: the automaton state,
+// the references consumed, and the union coverage so far. With occ set
+// it also counts each stream's maximal non-overlapping occurrences and
+// their gaps; without, it only measures coverage.
+type acScan struct {
+	tr                     *trie
+	occ                    []streamOcc // by stream ID
+	state                  int32
+	pos, unionEnd, covered uint64
+}
+
+// streamOcc is one stream's count so far: non-overlapping occurrences,
+// the gaps between them, and where the last one ended.
+type streamOcc struct{ freq, gapSum, lastEnd uint64 }
+
+// scan consumes names, keeping the hot state in locals for the loop.
+func (sc *acScan) scan(names []uint64) {
+	tr, occ := sc.tr, sc.occ
+	state, pos, unionEnd, covered := sc.state, sc.pos, sc.unionEnd, sc.covered
+	for _, v := range names {
 		state = tr.step(state, v)
-		end := pos + 1
+		pos++
+		end := pos
+		// Report the match at this node (if terminating) and every
+		// shorter match on the output chain.
 		n := state
 		if tr.nodes[n].streamID < 0 {
 			n = tr.nodes[n].out
 		}
-		for n > 0 {
+		for ; n > 0; n = tr.nodes[n].out {
 			length := uint64(tr.nodes[n].depth)
 			start := end - length
+			// Union coverage counts every occurrence — a reference
+			// inside an occurrence participates in the stream even if
+			// that occurrence overlaps a counted one.
 			if start >= unionEnd {
 				covered += length
 				unionEnd = end
@@ -202,13 +174,51 @@ func reunion(src walker, streams []*Stream, cfg Config) (covered, cold uint64) {
 				covered += end - unionEnd
 				unionEnd = end
 			}
-			n = tr.nodes[n].out
+			if occ == nil {
+				continue
+			}
+			// Regularity frequency counts maximal non-overlapping
+			// occurrences (§2.2), greedy from the left.
+			o := &occ[tr.nodes[n].streamID]
+			if o.freq > 0 {
+				if start < o.lastEnd {
+					continue
+				}
+				o.gapSum += start - o.lastEnd
+			}
+			o.freq++
+			o.lastEnd = end
 		}
-		pos++
-		total++
+	}
+	sc.state, sc.pos, sc.unionEnd, sc.covered = state, pos, unionEnd, covered
+}
+
+// eachChunk hands src's names to fn in order: all at once when src is a
+// SliceSource, otherwise in chunks of a reused buffer.
+func eachChunk(src walker, fn func([]uint64)) {
+	if s, ok := src.(SliceSource); ok {
+		fn(s)
+		return
+	}
+	buf := make([]uint64, 0, 4096)
+	src.Walk(func(v uint64) bool {
+		buf = append(buf, v)
+		if len(buf) == cap(buf) {
+			fn(buf)
+			buf = buf[:0]
+		}
 		return true
 	})
-	return covered, total - covered
+	fn(buf)
+}
+
+// reunion recomputes union coverage over the kept streams only.
+func reunion(src walker, streams []*Stream, cfg Config) (covered, cold uint64) {
+	tr := trieOf(streams)
+	tr.buildFailLinks()
+	sc := acScan{tr: tr}
+	eachChunk(src, sc.scan)
+	return sc.covered, sc.pos - sc.covered
 }
 
 // tokenize produces the reduced trace: greedy longest-match from the left,
