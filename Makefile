@@ -110,6 +110,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadStreamer -fuzztime=30s ./internal/online/
 	$(GO) test -fuzz=FuzzReadStatsAccum -fuzztime=30s ./internal/online/
 	$(GO) test -fuzz=FuzzDetect -fuzztime=30s ./internal/hotstream/
+	$(GO) test -fuzz=FuzzPackingEfficiency -fuzztime=30s ./internal/locality/
 	$(GO) test -fuzz=FuzzMergeFingerprints -fuzztime=30s ./internal/serve/
 	$(GO) test -fuzz=FuzzStoreManifest -fuzztime=30s ./internal/store/
 
@@ -123,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadStreamer -fuzztime=10s ./internal/online/
 	$(GO) test -fuzz=FuzzReadStatsAccum -fuzztime=10s ./internal/online/
 	$(GO) test -fuzz=FuzzDetect -fuzztime=10s ./internal/hotstream/
+	$(GO) test -fuzz=FuzzPackingEfficiency -fuzztime=10s ./internal/locality/
 	$(GO) test -fuzz=FuzzMergeFingerprints -fuzztime=10s ./internal/serve/
 	$(GO) test -fuzz=FuzzStoreManifest -fuzztime=10s ./internal/store/
 

@@ -493,11 +493,13 @@ func benchSearchedSnapshot(b *testing.B, buf *trace.Buffer, opts online.Options)
 // pass on 30k-reference sessions of two families at the ends of the
 // threshold search's range: 255.vortex (a few long streams, so the
 // search probes many multiples) and 176.gcc (many short streams, so each
-// probe's matching automaton is large). It is kept apart from
+// probe's matching automaton is large). The other four are the
+// remaining many-stream families of locbench's cluster-mixed workload
+// (boxsim is BenchmarkOnlineSnapshot's). It is kept apart from
 // BenchmarkOnlineSnapshot, whose sub-benchmark names the pipeline
 // overhead script matches exactly.
 func BenchmarkOnlineSnapshotFamilies(b *testing.B) {
-	for _, bench := range []string{"255.vortex", "176.gcc"} {
+	for _, bench := range []string{"255.vortex", "176.gcc", "sqlserver", "197.parser", "300.twolf", "181.mcf"} {
 		b.Run(bench, func(b *testing.B) {
 			buf, err := workload.Generate(bench, 30_000, 1)
 			if err != nil {

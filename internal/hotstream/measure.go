@@ -81,8 +81,15 @@ func ScanOccurrences(names []uint64, streams []*Stream, fn func(id, start, lengt
 // the sequence into the reduced trace of §3.2 (stream occurrences as
 // single symbols, cold references elided).
 func Measure(src walker, streams []*Stream, cfg Config, streamBase uint64, emitReduced bool) *Measurement {
+	return measureWith(src, streams, trieOf(streams), cfg, streamBase, emitReduced)
+}
+
+// measureWith is Measure on tr, a trie that indexes streams[i].Seq as
+// stream i (as trieOf(streams) builds it) and has no failure links yet.
+// It adds them, so tr becomes the scan's automaton; the Measurement
+// keeps no pointer to it.
+func measureWith(src walker, streams []*Stream, tr *trie, cfg Config, streamBase uint64, emitReduced bool) *Measurement {
 	cfg.normalize()
-	tr := trieOf(streams)
 	tr.buildFailLinks()
 	m := &Measurement{StreamBase: streamBase}
 

@@ -313,6 +313,40 @@ func TestDetectMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMeasureOnDetectTrie requires a measurement taken on the trie that
+// detect leaves in its window table to equal Measure's on a trie built
+// afresh from the same streams, for every workload family at the heats
+// TestDetectMatchesReference uses. One window table serves all heats of
+// a family, as it serves all probes of a threshold search.
+func TestMeasureOnDetectTrie(t *testing.T) {
+	heats := []uint64{2, 5, 17, 33, 67, 100, 150, 500, 2000}
+	for _, bench := range workload.Names() {
+		buf, err := workload.Generate(bench, 30_000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := abstract.New(abstract.BirthID).Abstract(buf).Names
+		g := sequitur.New()
+		g.AppendAll(names)
+		d := NewDAGSource(sequitur.NewDAG(g, 100))
+		seq := SliceSource(names)
+		wt := newWindowTable()
+		for _, heat := range heats {
+			cfg := DefaultConfig(heat)
+			got := measureWith(seq, detect(d, cfg, wt), wt.minimal, cfg, 0, false)
+			want := Measure(seq, Detect(d, cfg), cfg, 0, false)
+			if got.TotalRefs != want.TotalRefs || got.CoveredRefs != want.CoveredRefs || got.ColdRefs != want.ColdRefs {
+				t.Errorf("%s heat %d: total/covered/cold refs %d/%d/%d, fresh trie %d/%d/%d", bench, heat,
+					got.TotalRefs, got.CoveredRefs, got.ColdRefs, want.TotalRefs, want.CoveredRefs, want.ColdRefs)
+			}
+			if !reflect.DeepEqual(got.Streams, want.Streams) {
+				t.Errorf("%s heat %d: %d streams, fresh trie %d (first difference at %d)",
+					bench, heat, len(got.Streams), len(want.Streams), firstStreamDiff(got.Streams, want.Streams))
+			}
+		}
+	}
+}
+
 // TestHotCandidatesMatchReference compares the candidates that pass the
 // heat filter, before minimality, with the oracle's: minimality hides a
 // missing candidate whenever a shorter hot prefix would have dropped it,

@@ -21,7 +21,9 @@ type windowTable struct {
 	// pow[i] = winBase^i, grown on demand up to the longest window.
 	pow []uint64
 	// minimal indexes the streams Detect has accepted, to drop the
-	// candidates that extend one of them.
+	// candidates that extend one of them. Once detect returns it indexes
+	// exactly the returned streams, and a threshold search's probe
+	// measures on it before the next reset.
 	minimal *trie
 	// keys holds the window keys of one run (see runKeys).
 	keys []uint64

@@ -6,6 +6,7 @@
 package locality
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/abstract"
@@ -98,18 +99,35 @@ func countsOf32(vs []uint32) []uint64 {
 //
 // Members missing from the object map (e.g. references abstracted from
 // unknown addresses) are treated as 4-byte words at their recorded base.
+//
+// Each unique member occupies one interval of blocks, from its base's
+// block to its last byte's, and the occupied blocks are the length of the
+// intervals' union: O(m log m) time and O(m) space for a stream of m
+// references, however large its objects are. A member whose last byte
+// base+size-1 overflows uint32 takes the wrapped value as its last byte,
+// so its interval covers no block, or only base's block when the wrapped
+// byte still falls in it. That keeps the result equal, bit for bit, to a
+// count of the distinct blocks visited one by one in uint32 arithmetic
+// (the tests' oracle), wherever that count terminates: on 1-byte blocks
+// an interval reaching block 0xFFFFFFFF would wrap its counter forever.
 func PackingEfficiency(s *hotstream.Stream, objects map[uint64]*abstract.Object, blockSize int) float64 {
 	if blockSize <= 0 || len(s.Seq) == 0 {
 		return 1
 	}
-	seen := make(map[uint64]struct{}, len(s.Seq))
-	blocks := make(map[uint32]struct{}, len(s.Seq))
+	bs := uint32(blockSize)
+	// Sorting a copy of the members brings duplicates together; each
+	// interval is packed as first<<32 | last, so sorting the packed
+	// values sorts the intervals by start. Streams up to the paper's
+	// maximum length fit the stack buffers.
+	var nameBuf, spanBuf [128]uint64
+	names := append(nameBuf[:0], s.Seq...)
+	slices.Sort(names)
+	spans := spanBuf[:0]
 	var totalBytes uint64
-	for _, name := range s.Seq {
-		if _, dup := seen[name]; dup {
+	for i, name := range names {
+		if i > 0 && name == names[i-1] {
 			continue
 		}
-		seen[name] = struct{}{}
 		base, size := uint32(0), uint32(4)
 		if o, ok := objects[name]; ok {
 			base, size = o.Base, o.Size
@@ -118,15 +136,24 @@ func PackingEfficiency(s *hotstream.Stream, objects map[uint64]*abstract.Object,
 			}
 		}
 		totalBytes += uint64(size)
-		for b := base / uint32(blockSize); b <= (base+size-1)/uint32(blockSize); b++ {
-			blocks[b] = struct{}{}
+		if first, last := base/bs, (base+size-1)/bs; first <= last {
+			spans = append(spans, uint64(first)<<32|uint64(last))
+		}
+	}
+	slices.Sort(spans)
+	// next is the first block the union has not counted yet.
+	var actual, next uint64
+	for _, sp := range spans {
+		first, end := sp>>32, sp&0xFFFFFFFF+1
+		if end > next {
+			actual += end - max(first, next)
+			next = end
 		}
 	}
 	minBlocks := (totalBytes + uint64(blockSize) - 1) / uint64(blockSize)
 	if minBlocks == 0 {
 		minBlocks = 1
 	}
-	actual := uint64(len(blocks))
 	if actual == 0 {
 		return 1
 	}

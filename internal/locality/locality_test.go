@@ -2,7 +2,9 @@ package locality
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/abstract"
 	"repro/internal/hotstream"
@@ -137,6 +139,64 @@ func TestPackingEfficiencyBounds(t *testing.T) {
 	}
 	if got != 0.25 {
 		t.Errorf("efficiency = %v, want 0.25", got)
+	}
+}
+
+// TestPackingEfficiencyCostIndependentOfObjectSize pins that a stream's
+// packing costs the same however large its objects are. A block-by-block
+// count visited all 4M blocks of a 256 MiB object, and on 1-byte blocks
+// an extent ending at 0xFFFFFFFF wrapped its uint32 block counter around,
+// so it never returned. Each case runs under a deadline, must give the
+// exact answer, and may allocate only its two O(members) work slices.
+func TestPackingEfficiencyCostIndependentOfObjectSize(t *testing.T) {
+	const big = 256 << 20
+	for _, c := range []struct {
+		name      string
+		objects   map[uint64]*abstract.Object
+		blockSize int
+		want      float64
+	}{
+		{
+			name: "256 MiB object",
+			objects: map[uint64]*abstract.Object{
+				1: obj(1, 0x4000_0000, big), 2: obj(2, 0x5000_0000, 16), 3: obj(3, 0x6000_0000, 16),
+			},
+			blockSize: 64,
+			// ceil((big+32)/64) ideal blocks against big/64+2 occupied.
+			want: float64(big/64+1) / float64(big/64+2),
+		},
+		{
+			name: "extent ending at 0xFFFFFFFF on 1-byte blocks",
+			objects: map[uint64]*abstract.Object{
+				1: obj(1, 0xFFFF_FF00, 0x100), 2: obj(2, 0x1000, 4), 3: obj(3, 0xFFFF_FFF0, 8),
+			},
+			blockSize: 1,
+			// 268 bytes in 260 blocks: at most one block per byte.
+			want: 1,
+		},
+	} {
+		s := &hotstream.Stream{Seq: []uint64{1, 2, 3, 1, 2, 3}}
+		done := make(chan float64, 1)
+		go func() { done <- PackingEfficiency(s, c.objects, c.blockSize) }()
+		select {
+		case got := <-done:
+			if got != c.want {
+				t.Errorf("%s: efficiency = %v, want %v", c.name, got, c.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: PackingEfficiency did not return within 10s", c.name)
+		}
+		run := func() { PackingEfficiency(s, c.objects, c.blockSize) }
+		if allocs := testing.AllocsPerRun(5, run); allocs > 2 {
+			t.Errorf("%s: %v allocations per call, want at most 2", c.name, allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("%s: %d bytes allocated per call, want at most 64 KiB", c.name, n)
+		}
 	}
 }
 

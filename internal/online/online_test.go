@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/abstract"
 	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -254,5 +256,77 @@ func TestSnapshotShape(t *testing.T) {
 	}
 	if !strings.HasSuffix(s, "\n") {
 		t.Error("snapshot JSON missing trailing newline")
+	}
+}
+
+// TestSnapshotCostIndependentOfAllocSize uploads traces whose alloc
+// records name objects that are huge or end at the top of the address
+// space, and requires the snapshot to finish promptly with the exact
+// packing efficiency. Under birth IDs a 256 MiB object is a stream
+// member. Under site naming an object keeps the extent of its site's
+// first allocation, so a first allocation running to 0xFFFFFFFF (which
+// no reference can hit) lends that extent to the later object the
+// references do hit; with 1-byte blocks a block-by-block count never
+// ended on it.
+func TestSnapshotCostIndependentOfAllocSize(t *testing.T) {
+	const hot = 0x4000_0000
+	alloc := func(pc, addr, size uint32) trace.Event {
+		return trace.Event{Kind: trace.Alloc, PC: pc, Addr: addr, Size: size}
+	}
+	for _, c := range []struct {
+		name   string
+		opts   Options
+		allocs []trace.Event
+	}{
+		{"256 MiB object", Options{BlockSize: 64}, []trace.Event{
+			alloc(1, hot, 256<<20), alloc(2, 0x5000_0000, 16), alloc(3, 0x6000_0000, 16),
+		}},
+		{"extent ending at 0xFFFFFFFF on 1-byte blocks", Options{BlockSize: 1, HeapNaming: abstract.SiteOnly}, []trace.Event{
+			alloc(1, 0x8000_0000, 0x8000_0000), alloc(1, hot, 16), alloc(2, 0x5000_0000, 16), alloc(3, 0x6000_0000, 16),
+		}},
+	} {
+		events := c.allocs
+		for i := 0; i < 3000; i++ {
+			for j, addr := range []uint32{hot, 0x5000_0000, 0x6000_0000} {
+				events = append(events, trace.Event{Kind: trace.Load, PC: 0x100 + uint32(j), Addr: addr})
+			}
+		}
+		e := NewEngine(c.opts)
+		e.Ingest(events)
+		done := make(chan *Snapshot, 1)
+		go func() { done <- e.Snapshot() }()
+		var snap *Snapshot
+		select {
+		case snap = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Snapshot did not return within 10s", c.name)
+		}
+		if len(snap.HotStreams.Streams) == 0 {
+			t.Fatalf("%s: no hot streams", c.name)
+		}
+		// The objects in the map are disjoint and block-aligned, so each
+		// unique member occupies ceil(size/bs) blocks of its own.
+		bs := uint64(c.opts.BlockSize)
+		objects := e.abs.Objects()
+		var want, wTotal float64
+		for _, st := range snap.HotStreams.Streams {
+			var size, blocks uint64
+			seen := map[uint64]bool{}
+			for _, name := range st.Seq {
+				if o := objects[name]; !seen[name] {
+					seen[name] = true
+					size += uint64(o.Size)
+					blocks += (uint64(o.Size) + bs - 1) / bs
+				}
+			}
+			eff := min(1, float64((size+bs-1)/bs)/float64(blocks))
+			w := float64(st.Heat)
+			wTotal += w
+			want += w * eff * 100
+		}
+		want /= wTotal
+		if got := snap.Locality.WtAvgPackingEfficiencyPct; got != want {
+			t.Errorf("%s: packing efficiency %v%%, want %v%%", c.name, got, want)
+		}
 	}
 }
