@@ -43,6 +43,7 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/cluster"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -53,6 +54,7 @@ func main() {
 	workers := cliflags.WorkersFlag(flag.CommandLine)
 	flag.Parse()
 
+	obs.EnableDefault() // the gateway adopts it: one registry per process
 	gw := cluster.New(*vnodes, *workers, nil)
 	if err := joinShards(gw, *shards); err != nil {
 		fmt.Fprintln(os.Stderr, "locgate:", err)

@@ -15,13 +15,13 @@
 //	/v1/stats?session=S       Table-1 statistics only
 //	/v1/hotstreams?session=S  threshold + hot streams only
 //	/v1/locality?session=S    inherent/realized locality metrics only
-//	/v1/metrics               structured observability snapshot: every
-//	                          counter/gauge plus per-stage latency
-//	                          histograms (count, total, p50, p99) for
-//	                          the shared analysis pipeline's stages
-//	/debug/vars               the same metrics mirrored flat into expvar
-//	                          (sessions, records, evictions, snapshots,
-//	                          live grammar rules)
+//	/v1/metrics               the process's metrics registry: every
+//	                          counter/gauge (sessions, records,
+//	                          evictions, snapshots, live grammar rules,
+//	                          decode, worker pool, store) plus per-stage
+//	                          latency histograms (count, total, p50,
+//	                          p99) for the analysis pipeline's stages
+//	/debug/vars               Go runtime memstats and command line
 //	/debug/pprof/             CPU/heap profiles of the live service
 //
 // With eviction off (-max-rules 0) a snapshot of a fully uploaded trace
@@ -63,6 +63,7 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -99,6 +100,10 @@ func main() {
 		}
 	}
 
+	// One registry for the whole process: the server adopts the default,
+	// so /v1/metrics also serves the decode, worker-pool and store
+	// metrics of the layers that count into it.
+	obs.EnableDefault()
 	srv := serve.New(opts, *workers, st)
 
 	// The listener runs in a goroutine joined through errCh; main owns

@@ -15,53 +15,6 @@ import (
 	"repro/internal/serve"
 )
 
-// metrics is the gateway's observability registry, sharing the process
-// default the same way locserve does; the merged /v1/metrics view adds
-// the shards' "locserve.*" counts to the gateway's "locgate.*" names.
-var metrics = func() *obs.Registry {
-	r := obs.EnableDefault()
-	r.SetExpvar(true)
-	return r
-}()
-
-var (
-	mForwards   = metrics.Counter("locgate.forwards")
-	mRebalances = metrics.Counter("locgate.rebalances")
-	mMoved      = metrics.Counter("locgate.moved")
-)
-
-// registry tracks live gateways so the cluster-shape gauges aggregate
-// across every instance in the process (tests spin up several).
-var registry struct {
-	mu       sync.Mutex
-	gateways []*Gateway
-}
-
-func init() {
-	sum := func(name string, count func(g *Gateway) int) {
-		metrics.GaugeFunc(name, func() int64 {
-			registry.mu.Lock()
-			gws := append([]*Gateway(nil), registry.gateways...)
-			registry.mu.Unlock()
-			var total int64
-			for _, g := range gws {
-				total += int64(count(g))
-			}
-			return total
-		})
-	}
-	sum("locgate.shards", func(g *Gateway) int {
-		g.mu.RLock()
-		defer g.mu.RUnlock()
-		return len(g.shards)
-	})
-	sum("locgate.sessions", func(g *Gateway) int {
-		g.knownMu.Lock()
-		defer g.knownMu.Unlock()
-		return len(g.known)
-	})
-}
-
 // Gateway routes the locserve API across shards: ingest and per-session
 // reads follow the ring to the owning shard; listings, all-session
 // snapshots, and metrics fan out to every shard and merge. Membership
@@ -71,6 +24,11 @@ func init() {
 type Gateway struct {
 	workers int
 	hc      *http.Client
+
+	// reg is the gateway's registry: the process default, else its own.
+	// The merged /v1/metrics view adds it to the shards' registries.
+	reg                                            *obs.Registry
+	mForwards, mRebalances, mMoved, mProbeFailures *obs.Counter
 
 	// mu is the membership lock: request routing holds it shared for the
 	// whole proxied exchange, membership changes hold it exclusively —
@@ -98,16 +56,32 @@ type Gateway struct {
 // per CPU); hc is the HTTP client for shard traffic (nil: the default
 // client).
 func New(vnodes, workers int, hc *http.Client) *Gateway {
-	g := &Gateway{
-		workers: parallel.Workers(workers),
-		hc:      hc,
-		ring:    NewRing(vnodes),
-		shards:  make(map[string]*shard),
-		known:   make(map[string]bool),
+	reg := obs.Default()
+	if reg == nil {
+		reg = obs.New()
 	}
-	registry.mu.Lock()
-	registry.gateways = append(registry.gateways, g)
-	registry.mu.Unlock()
+	g := &Gateway{
+		workers:        parallel.Workers(workers),
+		hc:             hc,
+		reg:            reg,
+		mForwards:      reg.Counter("locgate.forwards"),
+		mRebalances:    reg.Counter("locgate.rebalances"),
+		mMoved:         reg.Counter("locgate.moved"),
+		mProbeFailures: reg.Counter("locgate.probe_failures"),
+		ring:           NewRing(vnodes),
+		shards:         make(map[string]*shard),
+		known:          make(map[string]bool),
+	}
+	reg.GaugeFunc("locgate.shards", func() int64 {
+		g.mu.RLock()
+		defer g.mu.RUnlock()
+		return int64(len(g.shards))
+	})
+	reg.GaugeFunc("locgate.sessions", func() int64 {
+		g.knownMu.Lock()
+		defer g.knownMu.Unlock()
+		return int64(len(g.known))
+	})
 	return g
 }
 
@@ -173,7 +147,7 @@ func (g *Gateway) AddShard(name, baseURL string) ([]string, error) {
 	sh := newShard(name, baseURL, g.hc)
 	g.shards[name] = sh
 	g.ring = next
-	mRebalances.Inc()
+	g.mRebalances.Inc()
 	g.replayPlacementLocked(moved)
 	return moved, nil
 }
@@ -201,7 +175,7 @@ func (g *Gateway) RemoveShard(name string) ([]string, error) {
 	g.healthMu.Lock()
 	delete(g.health, name)
 	g.healthMu.Unlock()
-	mRebalances.Inc()
+	g.mRebalances.Inc()
 	g.replayPlacementLocked(moved)
 	return moved, nil
 }
@@ -246,7 +220,7 @@ func (g *Gateway) drainMovedLocked(next *Ring) ([]string, error) {
 			return nil, fmt.Errorf("draining shard %s: status %d: %s", owner, resp.status, resp.body)
 		}
 	}
-	mMoved.Add(uint64(len(moved)))
+	g.mMoved.Add(uint64(len(moved)))
 	return moved, nil
 }
 
@@ -283,7 +257,8 @@ func (g *Gateway) CloseShards() {
 }
 
 // Handler builds the gateway mux: the serve.Routes table, routed or
-// merged across shards, plus shard administration and expvar.
+// merged across shards, plus shard administration and the runtime's
+// expvar.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for path, h := range g.handlers() {
@@ -346,6 +321,10 @@ func (g *Gateway) route(rt *serve.Route) serve.Handler {
 			serve.HTTPError(w, http.StatusBadGateway, err.Error())
 			return
 		}
+		if snap, ok := doc.(obs.Snapshot); ok {
+			// The shards' merged registries gain the gateway's own.
+			doc = obs.MergeSnapshots(snap, g.reg.Snapshot())
+		}
 		serve.WriteJSON(w, doc)
 	}
 }
@@ -391,7 +370,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request, session s
 	g.knownMu.Lock()
 	g.known[session] = true
 	g.knownMu.Unlock()
-	mForwards.Inc()
+	g.mForwards.Inc()
 	relay(w, sh.forward(session, body))
 }
 

@@ -7,10 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/parallel"
 	"repro/internal/serve"
@@ -394,7 +397,9 @@ func TestGatewayScale(t *testing.T) {
 }
 
 // TestGatewayMetricsMerged: the fan-out metrics view preserves the
-// stable locserve names and adds the gateway's own.
+// stable locserve names, adds the gateway's own, and counts each record
+// once: every shard serves its own registry, and the gateway adds its
+// registry to the shards' sum exactly once.
 func TestGatewayMetricsMerged(t *testing.T) {
 	c := newTestCluster(t, "s0", "s1")
 	b := genTrace(t, 2_000, 1)
@@ -416,11 +421,54 @@ func TestGatewayMetricsMerged(t *testing.T) {
 			t.Errorf("merged metrics missing counter %q", name)
 		}
 	}
-	if snap.Counters["locserve.records"] == 0 {
-		t.Error("merged locserve.records is zero after ingest")
+	for _, name := range []string{"locserve.records", "trace.records", "online.events"} {
+		if got, want := snap.Counters[name], uint64(b.Len()); got != want {
+			t.Errorf("merged %s = %d, want the %d events uploaded", name, got, want)
+		}
 	}
-	if _, ok := snap.Gauges["locgate.shards"]; !ok {
-		t.Error("merged metrics missing gauge locgate.shards")
+	if got := snap.Counters["locgate.forwards"]; got != 1 {
+		t.Errorf("merged locgate.forwards = %d, want 1", got)
+	}
+	if got := snap.Gauges["locgate.shards"]; got != 2 {
+		t.Errorf("merged locgate.shards = %d, want 2", got)
+	}
+}
+
+// TestDroppedGatewayIsCollected: nothing outside a gateway keeps it
+// alive once its caller drops it. The finalizer sits on the gateway's
+// HTTP client, which only the gateway and its shard senders reference;
+// the gateway itself is in a cycle with its gauge closures, and Go does
+// not promise to run a finalizer set on an object in a cycle.
+func TestDroppedGatewayIsCollected(t *testing.T) {
+	defer obs.SetDefault(obs.Default())
+	obs.SetDefault(nil) // a default registry keeps its last gateway's gauges
+	shardTS := httptest.NewServer(serve.New(online.Options{}, 1, nil).Handler())
+	defer shardTS.Close()
+
+	collected := make(chan struct{})
+	func() {
+		hc := &http.Client{}
+		runtime.SetFinalizer(hc, func(*http.Client) { close(collected) })
+		gw := New(0, 1, hc)
+		if _, err := gw.AddShard("s0", shardTS.URL); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/ingest?session=d", bytes.NewReader(encodeEvents(t, genTrace(t, 500, 1).Events())))
+		gw.Handler().ServeHTTP(rec, req)
+		mustOK(t, "ingest", rec.Code, rec.Body.Bytes())
+		gw.CloseShards()
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("dropped gateway was never collected")
+		}
 	}
 }
 

@@ -23,8 +23,6 @@ type shardHealth struct {
 	lastProbe time.Time
 }
 
-var mProbeFailures = metrics.Counter("locgate.probe_failures")
-
 // ProbeShards probes every current shard once, stamping results with
 // now, and returns the number of unhealthy shards. The shard list is
 // snapshotted under the routing lock, but the probes themselves run
@@ -47,7 +45,7 @@ func (g *Gateway) ProbeShards(now time.Time) int {
 		}
 		if !h.healthy {
 			unhealthy++
-			mProbeFailures.Inc()
+			g.mProbeFailures.Inc()
 		}
 		results[sh.name] = h
 	}

@@ -278,18 +278,11 @@ func TestObsCheck(t *testing.T) {
 		map[string]string{"fixture.go": obscheckFixture}, ObsCheck)
 }
 
-// ObsCheck exempts internal/obs itself — the bridge is the one place
-// allowed to publish into expvar.
+// ObsCheck exempts no package: internal/obs registers nothing in
+// expvar either.
 func TestObsCheckScope(t *testing.T) {
-	src := strings.ReplaceAll(obscheckFixture, " // want:obscheck", "")
-	pkg, err := testLoader(t).LoadSource("repro/internal/obs",
-		map[string]string{"fixture.go": src})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs := Run([]*Package{pkg}, []*Analyzer{ObsCheck}); len(fs) != 0 {
-		t.Fatalf("internal/obs flagged by obscheck: %v", fs)
-	}
+	runFixture(t, "repro/internal/obs",
+		map[string]string{"fixture.go": obscheckFixture}, ObsCheck)
 }
 
 // TestIgnoreDirectives checks the //lint:ignore mechanism end to end:

@@ -6,14 +6,14 @@ import (
 )
 
 // ObsCheck keeps metric registration funneled through internal/obs: the
-// observability layer owns every counter, gauge, and timer so /v1/metrics,
-// the expvar mirror, and the stage-timing report all see one consistent
-// namespace. A metric registered directly with expvar.New* or
-// expvar.Publish bypasses the registry — it never appears in structured
-// snapshots, cannot be preregistered for the obs-smoke zero-sample check,
-// and reintroduces the hand-rolled drift this layer replaced. Reading
-// expvar (expvar.Get, expvar.Handler, expvar.Do) stays legal everywhere;
-// only registration is reserved to internal/obs itself.
+// observability layer owns every counter, gauge, and timer so /v1/metrics
+// and the stage-timing report see one consistent namespace. A metric
+// registered directly with expvar.New* or expvar.Publish bypasses the
+// registry — it never appears in structured snapshots, cannot be
+// preregistered for the obs-smoke zero-sample check, and reintroduces the
+// hand-rolled drift this layer replaced. Reading expvar (expvar.Get,
+// expvar.Handler, expvar.Do) stays legal; registration is legal nowhere,
+// internal/obs included.
 var ObsCheck = &Analyzer{
 	Name: "obscheck",
 	Doc:  "metrics must register through internal/obs, not expvar directly",
@@ -31,9 +31,6 @@ var expvarRegistration = map[string]bool{
 }
 
 func runObsCheck(pass *Pass) {
-	if pass.Pkg.Path == pass.Pkg.Module+"/internal/obs" {
-		return
-	}
 	info := pass.Pkg.Info
 	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -50,7 +47,7 @@ func runObsCheck(pass *Pass) {
 				return true
 			}
 			if expvarRegistration[fn.Name()] {
-				pass.Reportf(n.Pos(), "expvar.%s registers a metric outside the obs registry; use obs.Registry (SetExpvar mirrors it into expvar)", fn.Name())
+				pass.Reportf(n.Pos(), "expvar.%s registers a metric outside the obs registry; use obs.Registry", fn.Name())
 			}
 			return true
 		})

@@ -3,22 +3,28 @@
 // (p50/p99), shared by every layer of the analysis pipeline — codec,
 // worker pool, stage runner, artifact store, and the locserve HTTP
 // service. It exists so instrumentation is a first-class part of the
-// pipeline rather than ad-hoc expvar calls bolted onto one frontend
-// (the DINAMITE lesson: profiling infrastructure pays off only when it
-// is a layer, not a patch).
+// pipeline rather than ad-hoc calls bolted onto one frontend (the
+// DINAMITE lesson: profiling infrastructure pays off only when it is a
+// layer, not a patch).
+//
+// Registries are values, not process state: each locserve server and
+// each locgate gateway owns one and serves it at /v1/metrics. Layers
+// with no registry threaded to them (trace decoding, the worker pool,
+// the artifact store) count into Default, which stays nil until a
+// binary's main calls EnableDefault; a server or gateway then adopts
+// the default as its own, so the binary serves one complete registry.
 //
 // Design constraints, in order:
 //
 //  1. Disabled must be (almost) free. Every constructor and method is
 //     nil-safe: a nil *Registry returns nil metric handles, and every
 //     method on a nil handle is a no-op, so instrumented hot paths pay
-//     exactly one nil-check when observability is off. The process-wide
-//     Default() registry is nil until a driver enables it.
+//     exactly one nil-check when observability is off.
 //  2. Stable names. Metric names are dotted paths ("trace.decode.records",
 //     "pipeline.stage.detect") chosen once and listed in README's metric
 //     reference; locserve's /v1/metrics regression test pins them.
-//  3. No dependencies. Everything here is sync/atomic, time, and (in the
-//     bridge) expvar — the repository's no-external-deps rule holds.
+//  3. No dependencies. Everything here is sync/atomic and time — the
+//     repository's no-external-deps rule holds.
 //
 // Timers are log₂-bucketed duration histograms: Observe files the sample
 // into bucket ⌈log₂ ns⌉ (65 buckets cover 1ns..~584y), and quantiles are
@@ -49,7 +55,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	funcs    map[string]func() int64
 	timers   map[string]*Timer
-	expvar   bool // mirror new metrics into package expvar
 }
 
 // New returns an empty registry.
@@ -135,7 +140,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if c = r.counters[name]; c == nil {
 		c = &Counter{}
 		r.counters[name] = c
-		r.mirror(name, func() any { return c.Value() })
 	}
 	return c
 }
@@ -189,31 +193,19 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g = r.gauges[name]; g == nil {
 		g = &Gauge{}
 		r.gauges[name] = g
-		r.mirror(name, func() any { return g.Value() })
 	}
 	return g
 }
 
 // GaugeFunc registers a callback gauge: fn is evaluated at snapshot
-// (and expvar render) time. Registering the same name again replaces
-// the callback. No-op on a nil registry.
+// time. Registering the same name again replaces the callback. No-op on
+// a nil registry.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, exists := r.funcs[name]; !exists {
-		r.mirror(name, func() any {
-			r.mu.RLock()
-			f := r.funcs[name]
-			r.mu.RUnlock()
-			if f == nil {
-				return int64(0)
-			}
-			return f()
-		})
-	}
 	r.funcs[name] = fn
 }
 
@@ -349,7 +341,6 @@ func (r *Registry) Timer(name string) *Timer {
 	if t = r.timers[name]; t == nil {
 		t = &Timer{}
 		r.timers[name] = t
-		r.mirror(name, func() any { return t.stats() })
 	}
 	return t
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -45,7 +44,6 @@ func TestNilSafety(t *testing.T) {
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Timers) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
 	}
-	r.SetExpvar(true) // must not panic
 }
 
 func TestCounterGauge(t *testing.T) {
@@ -182,34 +180,6 @@ func TestDefaultRegistry(t *testing.T) {
 	}
 	if r2 := EnableDefault(); r2 != r1 {
 		t.Fatal("EnableDefault not idempotent")
-	}
-}
-
-func TestExpvarMirror(t *testing.T) {
-	r := New()
-	r.SetExpvar(true)
-	r.Counter("obs.test.mirrored").Add(5)
-	v := expvar.Get("obs.test.mirrored")
-	if v == nil {
-		t.Fatal("counter not mirrored into expvar")
-	}
-	if got := v.String(); got != "5" {
-		t.Fatalf("expvar value = %s, want 5", got)
-	}
-	// A second registry publishing the same name must not panic, and the
-	// first publisher keeps the name.
-	r2 := New()
-	r2.SetExpvar(true)
-	r2.Counter("obs.test.mirrored").Add(100)
-	if got := expvar.Get("obs.test.mirrored").String(); got != "5" {
-		t.Fatalf("expvar value after re-publish = %s, want 5", got)
-	}
-	// Metrics created before SetExpvar are mirrored retroactively.
-	r3 := New()
-	r3.Counter("obs.test.retro").Add(1)
-	r3.SetExpvar(true)
-	if expvar.Get("obs.test.retro") == nil {
-		t.Fatal("pre-existing metric not mirrored by SetExpvar")
 	}
 }
 

@@ -2,15 +2,17 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/pipeline"
+	"repro/internal/store"
 )
 
 // TestMetricNamesStable is the regression gate on the service's metric
@@ -71,14 +73,46 @@ func TestMetricNamesStable(t *testing.T) {
 		t.Error("/v1/metrics payload lacks p50Ns/p99Ns fields")
 	}
 
-	// The flat expvar mirror must keep the names serve-smoke greps.
-	code, vars := get(t, ts.URL+"/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars: status %d", code)
+	// The registry is the server's, not the process's: a second server
+	// has seen none of the first one's records.
+	other := httptest.NewServer(New(online.Options{}, 1, nil).Handler())
+	defer other.Close()
+	if got := counter(t, other.URL, "locserve.records"); got != 0 {
+		t.Errorf("second server reads locserve.records %d, want 0", got)
 	}
-	for _, name := range []string{"locserve.records", "locserve.rules", "locserve.sessions"} {
-		if !strings.Contains(string(vars), fmt.Sprintf("%q", name)) {
-			t.Errorf("expvar mirror lost %q", name)
+}
+
+// TestDroppedServerIsCollected: nothing outside a server keeps it alive
+// once its caller drops it. The finalizer sits on the server's store,
+// which only the server references; the server itself is in a cycle
+// with its rules gauge closure, and Go does not promise to run a
+// finalizer set on an object in a cycle.
+func TestDroppedServerIsCollected(t *testing.T) {
+	defer obs.SetDefault(obs.Default())
+	obs.SetDefault(nil) // a default registry keeps its last server's gauge
+	collected := make(chan struct{})
+	func() {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(st, func(*store.Store) { close(collected) })
+		ts := httptest.NewServer(New(online.Options{}, 1, st).Handler())
+		defer ts.Close()
+		ingestSession(t, ts.URL, "d", "boxsim", 500, 1)
+		if code, body := post(t, ts.URL+"/v1/close?session=d", nil); code != http.StatusOK {
+			t.Fatalf("close: status %d: %s", code, body)
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("dropped server was never collected")
 		}
 	}
 }

@@ -101,10 +101,10 @@ var Routes = []Route{
 		})},
 	{Path: "/v1/locality", Methods: onlyGet, Session: NeedSession, Class: Owner,
 		Local: section(func(sn *online.Snapshot) any { return sn.Locality })},
-	// Every counter, gauge and duration histogram in the process
+	// Every counter, gauge and duration histogram in the server's
 	// registry; a gateway adds its own to the shards' sum.
 	{Path: "/v1/metrics", Methods: onlyGet, Class: FanOut,
-		Local: func(_ *Server, w http.ResponseWriter, _ *http.Request, _ string) { WriteJSON(w, metrics.Snapshot()) },
+		Local: func(s *Server, w http.ResponseWriter, _ *http.Request, _ string) { WriteJSON(w, s.opts.Obs.Snapshot()) },
 		Merge: mergeMetrics},
 	{Path: fingerprintsPath, Methods: onlyGet, Class: FleetView,
 		View: func(url.Values) (ViewFunc, error) {
@@ -262,11 +262,11 @@ func mergeSnapshots(_ url.Values, bodies [][]byte) (any, error) {
 	return out, err
 }
 
-// mergeMetrics sums the shards' registries with this process's own:
-// counters and gauges add, timer tails take the worst (obs.MergeSnapshots).
+// mergeMetrics sums the shards' registries: counters and gauges add,
+// timer tails take the worst (obs.MergeSnapshots).
 func mergeMetrics(_ url.Values, bodies [][]byte) (any, error) {
 	snaps, err := decodeEach[obs.Snapshot](bodies)
-	return obs.MergeSnapshots(append(snaps, metrics.Snapshot())...), err
+	return obs.MergeSnapshots(snaps...), err
 }
 
 // mergeDrift rebuilds the drift view from every shard's rows through the

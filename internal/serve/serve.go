@@ -26,47 +26,6 @@ import (
 	"repro/internal/trace"
 )
 
-// metrics is the serving process's observability registry: locserve
-// opts the whole process in (engines, trace decoding, the worker pool,
-// and the stage runner all pick up obs.Default()) and mirrors every
-// metric into expvar, so /debug/vars keeps serving the flat
-// "locserve.*" names existing tooling greps for while /v1/metrics
-// serves the structured snapshot with per-stage p50/p99.
-var metrics = func() *obs.Registry {
-	r := obs.EnableDefault()
-	r.SetExpvar(true)
-	return r
-}()
-
-// Service counters: handles resolved once at package level so multiple
-// server instances (tests spin up several) share them.
-var (
-	mSessions  = metrics.Counter("locserve.sessions")
-	mRecords   = metrics.Counter("locserve.records")
-	mEvictions = metrics.Counter("locserve.evictions")
-	mSnapshots = metrics.Counter("locserve.snapshots")
-)
-
-// registry tracks live servers so the "locserve.rules" gauge can sum
-// grammar rules across every session of every server.
-var registry struct {
-	mu      sync.Mutex
-	servers []*Server
-}
-
-func init() {
-	metrics.GaugeFunc("locserve.rules", func() int64 {
-		registry.mu.Lock()
-		servers := append([]*Server(nil), registry.servers...)
-		registry.mu.Unlock()
-		var total int64
-		for _, s := range servers {
-			total += s.totalRules()
-		}
-		return total
-	})
-}
-
 // Ingest batching parameters: each upload is decoded into batches of
 // batchLen events and fed to the session's engine goroutine through a
 // queue of queueDepth batches. The bounded queue is the backpressure
@@ -110,8 +69,10 @@ type session struct {
 	// appending records into an orphaned engine.
 	closed bool
 	// lastEvictions tracks the engine's cumulative eviction count at the
-	// end of the previous batch, so the global counter sees deltas.
+	// end of the previous batch, so the server's counter sees deltas.
 	lastEvictions uint64
+	// evictions and snapshots are the owning server's counters.
+	evictions, snapshots *obs.Counter
 
 	// queue feeds decoded batches to the ingest loop; free recycles
 	// their buffers back to decoding handlers.
@@ -187,8 +148,7 @@ func (sess *session) waitFlush() {
 // sends all run lock-free.
 //
 //lint:hotpath serves the live upload stream; runs per POST with the decode loop inside
-func (sess *session) ingestBody(body io.Reader) (uint64, error) {
-	tr := trace.NewReader(body)
+func (sess *session) ingestBody(tr *trace.Reader) (uint64, error) {
 	var total uint64
 	var derr error
 	for {
@@ -240,7 +200,7 @@ func (sess *session) ingestLoop() {
 		delta := ev - sess.lastEvictions
 		sess.lastEvictions = ev
 		sess.mu.Unlock()
-		mEvictions.Add(delta)
+		sess.evictions.Add(delta)
 		sess.putBatch(b)
 	}
 }
@@ -249,29 +209,49 @@ func (sess *session) ingestLoop() {
 // analysis engines behind JSON endpoints. With a store attached, closed
 // sessions persist their final snapshot as a history artifact.
 type Server struct {
-	opts    online.Options
+	opts    online.Options // opts.Obs is the server's registry
 	workers int
 	st      *store.Store // nil: sessions are ephemeral
+
+	// The service counters, in opts.Obs.
+	mSessions, mRecords, mEvictions, mSnapshots *obs.Counter
 
 	mu       sync.Mutex
 	sessions map[string]*session
 }
 
+// New returns a server whose sessions run engines with opts. Its
+// metrics registry is opts.Obs, else the process default (obs.Default),
+// else a fresh one, and New writes that choice back into opts.Obs: the
+// service counters, the rules gauge, every engine's counters and stage
+// timers, and upload decoding all count into the one registry
+// /v1/metrics serves. Servers given the same opts.Obs share it: their
+// counters sum, and locserve.rules reports the server made last.
+// cmd/locbench is the one such caller, and it reads only stage timers.
 func New(opts online.Options, workers int, st *store.Store) *Server {
-	s := &Server{
-		opts:     opts,
-		workers:  parallel.Workers(workers),
-		st:       st,
-		sessions: make(map[string]*session),
+	if opts.Obs == nil {
+		opts.Obs = obs.Default()
 	}
-	registry.mu.Lock()
-	registry.servers = append(registry.servers, s)
-	registry.mu.Unlock()
+	if opts.Obs == nil {
+		opts.Obs = obs.New()
+	}
+	reg := opts.Obs
+	s := &Server{
+		opts:       opts,
+		workers:    parallel.Workers(workers),
+		st:         st,
+		mSessions:  reg.Counter("locserve.sessions"),
+		mRecords:   reg.Counter("locserve.records"),
+		mEvictions: reg.Counter("locserve.evictions"),
+		mSnapshots: reg.Counter("locserve.snapshots"),
+		sessions:   make(map[string]*session),
+	}
+	reg.GaugeFunc("locserve.rules", s.totalRules)
 	return s
 }
 
-// Handler builds the service mux: the v1 API (Routes) plus expvar and
-// pprof diagnostics.
+// Handler builds the service mux: the v1 API (Routes) plus the
+// runtime's expvar and pprof diagnostics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for path, h := range Handlers(s.local) {
@@ -352,10 +332,12 @@ func (s *Server) rehydrateLocked(name string) (*session, error) {
 //lint:coldpath session construction; runs once per session name, not per record
 func (s *Server) newSession(name string, engine *online.Engine) *session {
 	sess := &session{
-		name:   name,
-		engine: engine,
-		queue:  make(chan *ingestBatch, queueDepth),
-		free:   make(chan *ingestBatch, queueDepth+2),
+		name:      name,
+		engine:    engine,
+		evictions: s.mEvictions,
+		snapshots: s.mSnapshots,
+		queue:     make(chan *ingestBatch, queueDepth),
+		free:      make(chan *ingestBatch, queueDepth+2),
 	}
 	sess.loopWG.Add(1)
 	go func() {
@@ -363,7 +345,7 @@ func (s *Server) newSession(name string, engine *online.Engine) *session {
 		sess.ingestLoop()
 	}()
 	s.sessions[name] = sess
-	mSessions.Add(1)
+	s.mSessions.Add(1)
 	return sess
 }
 
@@ -435,8 +417,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, name strin
 	}
 	defer sess.ingestWG.Done()
 
-	n, err := sess.ingestBody(r.Body)
-	mRecords.Add(n)
+	n, err := sess.ingestBody(trace.NewReaderObs(r.Body, s.opts.Obs))
+	s.mRecords.Add(n)
 	sess.mu.Lock()
 	status := sess.statusLocked()
 	sess.mu.Unlock()
@@ -492,7 +474,7 @@ func (s *Server) snapshotSession(name string) (*online.Snapshot, bool, error) {
 func (sess *session) snapshot() *online.Snapshot {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	mSnapshots.Add(1)
+	sess.snapshots.Add(1)
 	return sess.engine.Snapshot()
 }
 
@@ -596,7 +578,7 @@ func (s *Server) closeSession(name string, handoff bool) (CloseResult, bool, err
 	if s.st == nil {
 		return res, true, nil
 	}
-	mSnapshots.Add(1)
+	s.mSnapshots.Add(1)
 	b, err := sess.engine.Snapshot().MarshalIndent()
 	if err != nil {
 		return res, true, err

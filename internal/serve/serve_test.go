@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -90,24 +90,24 @@ func get(t testing.TB, url string) (int, []byte) {
 	return do(t, http.MethodGet, url, nil)
 }
 
-func counter(t testing.TB, name string) int64 {
+// counter reads one counter or gauge from the server's /v1/metrics.
+func counter(t testing.TB, base, name string) int64 {
 	t.Helper()
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatalf("expvar %q not published", name)
+	code, body := get(t, base+"/v1/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/v1/metrics: status %d: %s", code, body)
 	}
-	switch c := v.(type) {
-	case *expvar.Int:
-		return c.Value()
-	case expvar.Func:
-		switch n := c().(type) {
-		case int64:
-			return n
-		case uint64:
-			return int64(n)
-		}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("expvar %q has unexpected type %T", name, v)
+	if v, ok := snap.Counters[name]; ok {
+		return int64(v)
+	}
+	if v, ok := snap.Gauges[name]; ok {
+		return v
+	}
+	t.Fatalf("metric %q not in /v1/metrics", name)
 	return 0
 }
 
@@ -149,16 +149,13 @@ func TestServedSnapshotMatchesBatch(t *testing.T) {
 // TestConcurrentIngestHammer streams 8 sessions concurrently (the
 // acceptance bar is 4), each in several chunked POSTs, under the race
 // detector in CI. It then verifies per-session integrity: every session
-// saw exactly its own events, the expvar counters advanced by the right
+// saw exactly its own events, the server's counters read the exact
 // totals, and a spot-checked session's snapshot still matches its batch
 // reference — concurrency must not leak records across sessions.
 func TestConcurrentIngestHammer(t *testing.T) {
 	const sessions = 8
 	ts := httptest.NewServer(New(online.Options{}, 0, nil).Handler())
 	defer ts.Close()
-
-	recordsBefore := counter(t, "locserve.records")
-	sessionsBefore := counter(t, "locserve.sessions")
 
 	bufs := make([]*trace.Buffer, sessions)
 	var totalEvents uint64
@@ -202,13 +199,13 @@ func TestConcurrentIngestHammer(t *testing.T) {
 		}
 	}
 
-	if got := counter(t, "locserve.records") - recordsBefore; got != int64(totalEvents) {
-		t.Errorf("records counter advanced by %d, want %d", got, totalEvents)
+	if got := counter(t, ts.URL, "locserve.records"); got != int64(totalEvents) {
+		t.Errorf("records counter = %d, want %d", got, totalEvents)
 	}
-	if got := counter(t, "locserve.sessions") - sessionsBefore; got != sessions {
-		t.Errorf("sessions counter advanced by %d, want %d", got, sessions)
+	if got := counter(t, ts.URL, "locserve.sessions"); got != sessions {
+		t.Errorf("sessions counter = %d, want %d", got, sessions)
 	}
-	if counter(t, "locserve.rules") <= 0 {
+	if counter(t, ts.URL, "locserve.rules") <= 0 {
 		t.Error("rules gauge did not advance")
 	}
 
@@ -344,20 +341,17 @@ func TestEndpointErrors(t *testing.T) {
 }
 
 // TestEvictionBoundsServer checks the -max-rules serving mode: the rule
-// gauge respects the cap and the eviction counter advances.
+// gauge respects the cap and the eviction counter equals the session's
+// evictions.
 func TestEvictionBoundsServer(t *testing.T) {
 	const cap = 64
 	ts := httptest.NewServer(New(online.Options{MaxRules: cap}, 1, nil).Handler())
 	defer ts.Close()
-	evBefore := counter(t, "locserve.evictions")
 	b := genTrace(t, "176.gcc", 20_000, 1)
 	for _, part := range chunkEvents(b.Events(), 10) {
 		if code, body := post(t, ts.URL+"/v1/ingest?session=ev", encodeEvents(t, part)); code != http.StatusOK {
 			t.Fatalf("ingest: status %d: %s", code, body)
 		}
-	}
-	if got := counter(t, "locserve.evictions") - evBefore; got == 0 {
-		t.Error("evictions counter did not advance under MaxRules")
 	}
 	var listing struct {
 		Sessions []struct {
@@ -377,6 +371,12 @@ func TestEvictionBoundsServer(t *testing.T) {
 	}
 	if listing.Sessions[0].Evictions == 0 {
 		t.Error("session reports zero evictions")
+	}
+	if got := counter(t, ts.URL, "locserve.evictions"); got != int64(listing.Sessions[0].Evictions) {
+		t.Errorf("evictions counter = %d, want the session's %d", got, listing.Sessions[0].Evictions)
+	}
+	if got := counter(t, ts.URL, "locserve.rules"); got != int64(listing.Sessions[0].Rules) {
+		t.Errorf("rules gauge = %d, want the session's %d", got, listing.Sessions[0].Rules)
 	}
 	if code, _ := get(t, ts.URL+"/v1/snapshot?session=ev"); code != http.StatusOK {
 		t.Errorf("snapshot under eviction: status %d", code)
@@ -517,15 +517,14 @@ func TestCloseSnapshotsOnlyIntoStore(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		st   *store.Store
-		want uint64
+		want int64
 	}{{"no store", nil, 0}, {"store", st, 1}} {
 		ts := httptest.NewServer(New(online.Options{}, 1, tc.st).Handler())
 		ingestSession(t, ts.URL, "s", "boxsim", 2_000, 1)
-		before := mSnapshots.Value()
 		if code, body := post(t, ts.URL+"/v1/close?session=s", nil); code != http.StatusOK {
 			t.Fatalf("%s: close: status %d: %s", tc.name, code, body)
 		}
-		if got := mSnapshots.Value() - before; got != tc.want {
+		if got := counter(t, ts.URL, "locserve.snapshots"); got != tc.want {
 			t.Errorf("%s: close computed %d snapshots, want %d", tc.name, got, tc.want)
 		}
 		ts.Close()

@@ -150,7 +150,7 @@ type Reader struct {
 	off uint64
 
 	// Decode instrumentation. Handles are resolved once at construction
-	// from the process default registry (nil when observability is off),
+	// from the reader's registry (nil when observability is off),
 	// and counts are flushed in batches so the per-record cost is one
 	// nil-check plus a local increment, never an atomic per record.
 	obsRecords *obs.Counter
@@ -164,16 +164,21 @@ type Reader struct {
 // enough that live dashboards track an in-flight upload.
 const obsFlushEvery = 4096
 
-// NewReader returns a Reader decoding from r.
+// NewReader returns a Reader decoding from r that counts into the
+// process default registry.
+func NewReader(r io.Reader) *Reader { return NewReaderObs(r, obs.Default()) }
+
+// NewReaderObs returns a Reader decoding from r that counts decoded
+// records and bytes into reg (nil: uncounted).
 //
 //lint:coldpath stream constructor; one allocation per upload, not per record
-func NewReader(r io.Reader) *Reader {
-	tr := &Reader{src: r, buf: make([]byte, readerBufSize)}
-	if reg := obs.Default(); reg != nil {
-		tr.obsRecords = reg.Counter("trace.records")
-		tr.obsBytes = reg.Counter("trace.bytes")
+func NewReaderObs(r io.Reader, reg *obs.Registry) *Reader {
+	return &Reader{
+		src:        r,
+		buf:        make([]byte, readerBufSize),
+		obsRecords: reg.Counter("trace.records"),
+		obsBytes:   reg.Counter("trace.bytes"),
 	}
-	return tr
 }
 
 // flushObs publishes batched decode counts to the registry.

@@ -55,10 +55,10 @@ curl -sf "http://$addr/v1/snapshot?session=smoke" > "$tmp/served.json"
 diff -u "$tmp/batch.json" "$tmp/served.json" \
   || { echo "serve-smoke: served snapshot differs from batch analysis" >&2; exit 1; }
 
-# expvar counters advanced.
-curl -sf "http://$addr/debug/vars" > "$tmp/vars.json"
-records=$(grep -o '"locserve.records": [0-9]*' "$tmp/vars.json" | grep -o '[0-9]*$' || echo 0)
-rules=$(grep -o '"locserve.rules": [0-9]*' "$tmp/vars.json" | grep -o '[0-9]*$' || echo 0)
+# The server's counters advanced.
+curl -sf "http://$addr/v1/metrics" > "$tmp/metrics.json"
+records=$(grep -o '"locserve.records": *[0-9]*' "$tmp/metrics.json" | grep -o '[0-9]*$' || echo 0)
+rules=$(grep -o '"locserve.rules": *[0-9]*' "$tmp/metrics.json" | grep -o '[0-9]*$' || echo 0)
 [ "${records:-0}" -gt 0 ] || { echo "serve-smoke: locserve.records did not advance" >&2; exit 1; }
 [ "${rules:-0}" -gt 0 ] || { echo "serve-smoke: locserve.rules did not advance" >&2; exit 1; }
 
