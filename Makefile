@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-smoke bench-pipeline bench-ingest repro csv lint lint-baseline race sanitize serve-smoke cluster-smoke fleet-smoke locbench-check locdiff-smoke obs-smoke fuzz fuzz-smoke cover clean
+.PHONY: all build test bench bench-smoke bench-pipeline bench-ingest repro csv lint lint-baseline race sanitize serve-smoke cluster-smoke locbench-check locdiff-smoke obs-smoke fuzz fuzz-smoke cover clean
 
 all: build test lint
 
@@ -62,16 +62,10 @@ serve-smoke:
 # End-to-end smoke of the sharded deployment: locgate routing six
 # sessions across three locserve shards, one shard killed mid-run and
 # retired; the drained sessions rehydrate on their new owners and every
-# final snapshot must be locdiff-clean against a single-node batch.
+# final snapshot must be locdiff-clean against a single-node batch. The
+# gateway's health prober must stamp every remaining shard healthy.
 cluster-smoke:
 	./scripts/cluster-smoke.sh
-
-# End-to-end smoke of the fleet analysis views: six sessions from two
-# workload families over three shards behind locgate; the gateway's
-# merged /v1/fleet views must be byte-identical to a single locserve
-# fed the same uploads, and clustering must recover the two families.
-fleet-smoke:
-	./scripts/fleet-smoke.sh
 
 # cmd/locbench is its own module, so the root build and test skip it,
 # yet it drives the serve and cluster APIs: build, vet and test it
@@ -100,33 +94,35 @@ bench-pipeline:
 bench-ingest:
 	./scripts/bench-ingest.sh
 
-# Short fuzz sessions over the parsers and the grammar invariant.
-fuzz:
-	$(GO) test -fuzz=FuzzExpandIdentity -fuzztime=30s ./internal/sequitur/
-	$(GO) test -fuzz=FuzzBinaryCodec -fuzztime=30s ./internal/sequitur/
-	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/trace/
-	$(GO) test -fuzz=FuzzReadState -fuzztime=30s ./internal/online/
-	$(GO) test -fuzz=FuzzReadEngine -fuzztime=30s ./internal/online/
-	$(GO) test -fuzz=FuzzReadStreamer -fuzztime=30s ./internal/online/
-	$(GO) test -fuzz=FuzzReadStatsAccum -fuzztime=30s ./internal/online/
-	$(GO) test -fuzz=FuzzDetect -fuzztime=30s ./internal/hotstream/
-	$(GO) test -fuzz=FuzzPackingEfficiency -fuzztime=30s ./internal/locality/
-	$(GO) test -fuzz=FuzzMergeFingerprints -fuzztime=30s ./internal/serve/
-	$(GO) test -fuzz=FuzzStoreManifest -fuzztime=30s ./internal/store/
+# Every fuzz target, as package:Target. fuzz runs each for 30 seconds;
+# fuzz-smoke, the CI-sized pass, for 10.
+FUZZ_TARGETS = \
+	sequitur:FuzzExpandIdentity \
+	sequitur:FuzzBinaryCodec \
+	trace:FuzzReader \
+	online:FuzzReadState \
+	online:FuzzReadEngine \
+	online:FuzzReadStreamer \
+	online:FuzzReadStatsAccum \
+	hotstream:FuzzDetect \
+	locality:FuzzPackingEfficiency \
+	serve:FuzzMergeFingerprints \
+	store:FuzzStoreManifest
 
-# The CI-sized fuzz pass: 10 seconds per target.
+# run-fuzz runs every target in FUZZ_TARGETS for $(1), stopping at the
+# first failure.
+define run-fuzz
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "$(GO) test -fuzz=$${t#*:} -fuzztime=$(1) ./internal/$${t%%:*}/"; \
+		$(GO) test -fuzz=$${t#*:} -fuzztime=$(1) ./internal/$${t%%:*}/; \
+	done
+endef
+
+fuzz:
+	$(call run-fuzz,30s)
+
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzExpandIdentity -fuzztime=10s ./internal/sequitur/
-	$(GO) test -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/sequitur/
-	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace/
-	$(GO) test -fuzz=FuzzReadState -fuzztime=10s ./internal/online/
-	$(GO) test -fuzz=FuzzReadEngine -fuzztime=10s ./internal/online/
-	$(GO) test -fuzz=FuzzReadStreamer -fuzztime=10s ./internal/online/
-	$(GO) test -fuzz=FuzzReadStatsAccum -fuzztime=10s ./internal/online/
-	$(GO) test -fuzz=FuzzDetect -fuzztime=10s ./internal/hotstream/
-	$(GO) test -fuzz=FuzzPackingEfficiency -fuzztime=10s ./internal/locality/
-	$(GO) test -fuzz=FuzzMergeFingerprints -fuzztime=10s ./internal/serve/
-	$(GO) test -fuzz=FuzzStoreManifest -fuzztime=10s ./internal/store/
+	$(call run-fuzz,10s)
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -84,7 +84,7 @@ func main() {
 	opts.MaxRules = *maxRules
 
 	if *batch != "" {
-		if err := runBatch(*batch, opts); err != nil {
+		if err := runBatch(*batch, params.CoreOptions()); err != nil {
 			fmt.Fprintln(os.Stderr, "locserve:", err)
 			os.Exit(1)
 		}
@@ -143,19 +143,13 @@ func main() {
 // exact bytes the server's /v1/snapshot endpoint produces for the same
 // records with eviction off — the reference side of the equivalence
 // guarantee, and the oracle the CI smoke test diffs against.
-func runBatch(path string, opts online.Options) error {
+func runBatch(path string, opts core.Options) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	a, err := core.AnalyzeStream(trace.NewReader(f), core.Options{
-		MinStreamLen:      opts.MinStreamLen,
-		MaxStreamLen:      opts.MaxStreamLen,
-		CoverageTarget:    opts.CoverageTarget,
-		FixedHeatMultiple: opts.FixedHeatMultiple,
-		BlockSize:         opts.BlockSize,
-		SkipPotential:     true,
-	})
+	opts.SkipPotential = true
+	a, err := core.AnalyzeStream(trace.NewReader(f), opts)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -12,7 +12,6 @@ package abstract
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/trace"
@@ -139,24 +138,6 @@ func (a *Abstractor) Abstract(b *trace.Buffer) *Result {
 		st.process(e)
 	}
 	return st.res
-}
-
-// AbstractStream processes events from a trace reader, so traces larger
-// than memory can be abstracted directly from disk. It stops at a clean
-// end of stream and returns any decode error alongside the (partial)
-// result.
-func (a *Abstractor) AbstractStream(r *trace.Reader) (*Result, error) {
-	st := a.Streamer(1 << 16)
-	for {
-		e, err := r.Read()
-		if err == io.EOF {
-			return st.Result(), nil
-		}
-		if err != nil {
-			return st.Result(), err
-		}
-		st.Process(e)
-	}
 }
 
 // Streamer exposes the online abstraction machinery one event at a

@@ -236,7 +236,10 @@ func TestParallelArraysAligned(t *testing.T) {
 	}
 }
 
-func TestAbstractStreamMatchesBuffer(t *testing.T) {
+// TestStreamerMatchesBuffer drives a Streamer off a decoded trace stream,
+// as core.AnalyzeStream does, and checks it abstracts exactly as the
+// buffered pass.
+func TestStreamerMatchesBuffer(t *testing.T) {
 	b := trace.NewBuffer(0)
 	b.Alloc(7, trace.HeapBase, 64)
 	b.Call(0xA)
@@ -257,10 +260,14 @@ func TestAbstractStreamMatchesBuffer(t *testing.T) {
 	w.Flush()
 
 	want := New(BirthID).Abstract(b)
-	got, err := New(BirthID).AbstractStream(trace.NewReader(&enc))
-	if err != nil {
+	st := New(BirthID).Streamer(0)
+	if err := trace.NewReader(&enc).ForEach(func(e trace.Event) error {
+		st.Process(e)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
+	got := st.Result()
 	if !reflect.DeepEqual(got.Names, want.Names) {
 		t.Fatal("streamed names differ from buffered")
 	}
@@ -269,14 +276,6 @@ func TestAbstractStreamMatchesBuffer(t *testing.T) {
 	}
 	if len(got.Objects) != len(want.Objects) {
 		t.Errorf("objects %d vs %d", len(got.Objects), len(want.Objects))
-	}
-}
-
-func TestAbstractStreamPropagatesError(t *testing.T) {
-	data := []byte{7, 0, 0} // invalid kind
-	_, err := New(BirthID).AbstractStream(trace.NewReader(bytes.NewReader(data)))
-	if err == nil {
-		t.Fatal("expected decode error")
 	}
 }
 

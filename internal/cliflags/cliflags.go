@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/hotstream"
 	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/parallel"
@@ -123,12 +124,15 @@ type Analysis struct {
 }
 
 // AnalysisFlags registers the -min-len/-max-len/-coverage/
-// -fixed-multiple/-block group on fs.
+// -fixed-multiple/-block group on fs. The window and coverage defaults
+// are hotstream's, so the help text shows the values the pipeline
+// would pick anyway.
 func AnalysisFlags(fs *flag.FlagSet) *Analysis {
 	a := &Analysis{}
-	fs.IntVar(&a.MinLen, "min-len", 2, "minimum hot-stream length")
-	fs.IntVar(&a.MaxLen, "max-len", 100, "maximum hot-stream length")
-	fs.Float64Var(&a.Coverage, "coverage", 0.90, "hot-stream coverage target for the threshold search")
+	def := hotstream.SearchConfig{}.Normalized()
+	fs.IntVar(&a.MinLen, "min-len", def.MinLen, "minimum hot-stream length")
+	fs.IntVar(&a.MaxLen, "max-len", def.MaxLen, "maximum hot-stream length")
+	fs.Float64Var(&a.Coverage, "coverage", def.CoverageTarget, "hot-stream coverage target for the threshold search")
 	fs.Uint64Var(&a.FixedMultiple, "fixed-multiple", 0, "pin the heat threshold to this unit-uniform-access multiple instead of searching")
 	fs.IntVar(&a.Block, "block", 64, "cache block size for packing-efficiency metrics")
 	return a

@@ -96,6 +96,7 @@ func TestGatewayFleetEquivalence(t *testing.T) {
 		t.Errorf("merged fingerprints cover %d sessions, want %d", fv.Sessions, len(sessions))
 	}
 
+	checkFleetEqual(t, c, o, "/v1/fleet/streams")
 	checkFleetEqual(t, c, o, "/v1/fleet/streams?top=0")
 
 	var cv fleet.ClustersView
@@ -151,8 +152,10 @@ func TestGatewayFleetEquivalence(t *testing.T) {
 	if code, _ := get(t, c.gwTS.URL+"/v1/fleet/streams?top=x"); code != http.StatusBadRequest {
 		t.Errorf("bad top: status %d, want 400", code)
 	}
-	if code, _ := get(t, c.gwTS.URL+"/v1/fleet/clusters?threshold=2"); code != http.StatusBadRequest {
-		t.Errorf("bad threshold: status %d, want 400", code)
+	for _, q := range []string{"/v1/fleet/clusters?threshold=2", "/v1/fleet/clusters?threshold=NaN", "/v1/fleet/drift?threshold=NaN"} {
+		if code, _ := get(t, c.gwTS.URL+q); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", q, code)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@
 package core
 
 import (
-	"context"
 	"sort"
 	"time"
 
@@ -34,6 +33,8 @@ type Options struct {
 	// the ⟨allocation site, global counter⟩ scheme of §5.1).
 	HeapNaming abstract.Mode
 	// MinStreamLen/MaxStreamLen bound hot data streams (paper: 2, 100).
+	// They and CoverageTarget default as hotstream.SearchConfig.Normalized
+	// does, the same rule the online engine applies.
 	MinStreamLen, MaxStreamLen int
 	// CoverageTarget is the hot-stream coverage constraint (paper: 0.90).
 	CoverageTarget float64
@@ -88,18 +89,11 @@ func (o Options) Normalized() Options {
 }
 
 func (o *Options) normalize() {
-	if o.MinStreamLen < 2 {
-		o.MinStreamLen = 2
-	}
-	if o.MaxStreamLen < o.MinStreamLen {
-		o.MaxStreamLen = 100
-	}
-	if o.CoverageTarget <= 0 || o.CoverageTarget > 1 {
-		o.CoverageTarget = 0.90
-	}
-	if o.ReduceLevels < 0 {
-		o.ReduceLevels = 1
-	} else if o.ReduceLevels == 0 {
+	w := hotstream.SearchConfig{
+		MinLen: o.MinStreamLen, MaxLen: o.MaxStreamLen, CoverageTarget: o.CoverageTarget,
+	}.Normalized()
+	o.MinStreamLen, o.MaxStreamLen, o.CoverageTarget = w.MinLen, w.MaxLen, w.CoverageTarget
+	if o.ReduceLevels < 1 {
 		o.ReduceLevels = 1
 	}
 	if o.BlockSize <= 0 {
@@ -173,36 +167,25 @@ func (a *Analysis) HotMembers() map[uint64]struct{} {
 	return locality.StreamMembers(a.Streams())
 }
 
-// Analyze runs the full pipeline.
+// Analyze runs the full pipeline. Every phase runs as a named stage
+// through the shared runner (internal/pipeline), so per-stage timings
+// land in the run's obs registry.
 func Analyze(b *trace.Buffer, opts Options) *Analysis {
-	//lint:ignore ctxflow compat wrapper predating AnalyzeContext; CLI callers with no cancellation source
-	a, _ := AnalyzeContext(context.Background(), b, opts)
-	return a
-}
-
-// AnalyzeContext is Analyze with cancellation: every pipeline phase runs
-// as a named stage through the shared runner (internal/pipeline), so a
-// cancelled context stops the analysis at the next stage boundary and
-// per-stage timings land in the run's obs registry. The only possible
-// error is the context's.
-func AnalyzeContext(ctx context.Context, b *trace.Buffer, opts Options) (*Analysis, error) {
 	opts.normalize()
-	pc := pipeline.NewContext(ctx, opts.registry(), opts.Workers)
+	reg := opts.registry()
 	var stats trace.Stats
 	var res *abstract.Result
-	if err := pc.Run(
-		pipeline.Stage{Name: pipeline.StageStats, Run: func(*pipeline.Context) error {
+	_ = pipeline.Run(reg,
+		pipeline.Stage{Name: pipeline.StageStats, Run: func() error {
 			stats = b.Stats()
 			return nil
 		}},
-		pipeline.Stage{Name: pipeline.StageAbstract, Run: func(*pipeline.Context) error {
+		pipeline.Stage{Name: pipeline.StageAbstract, Run: func() error {
 			res = abstract.New(opts.HeapNaming).Abstract(b)
 			return nil
 		}},
-	); err != nil {
-		return nil, err
-	}
-	return analyzeAbstracted(pc, stats, res, opts)
+	)
+	return analyzeAbstracted(reg, stats, res, opts)
 }
 
 // AnalyzeStream runs the full pipeline over an encoded trace stream
@@ -210,26 +193,22 @@ func AnalyzeContext(ctx context.Context, b *trace.Buffer, opts Options) (*Analys
 // the address abstraction are computed in one pass as records decode,
 // so peak memory excludes the raw event slice entirely (only the
 // abstracted name/PC/address arrays the analysis needs remain). The
-// result is identical to Analyze over the same records.
+// result is identical to Analyze over the same records; the only
+// possible error is the reader's.
+//
+// The single decode pass fuses statistics accumulation with
+// abstraction, so it runs as the "abstract" stage; the "stats" stage is
+// the accumulator finalization. Everything downstream is the same stage
+// list Analyze runs.
 func AnalyzeStream(r *trace.Reader, opts Options) (*Analysis, error) {
-	//lint:ignore ctxflow compat wrapper predating AnalyzeStreamContext; CLI callers with no cancellation source
-	return AnalyzeStreamContext(context.Background(), r, opts)
-}
-
-// AnalyzeStreamContext is AnalyzeStream through the shared stage runner.
-// The single decode pass fuses statistics accumulation with abstraction,
-// so it runs as the "abstract" stage; the "stats" stage is the
-// accumulator finalization. Everything downstream is the same stage list
-// Analyze runs.
-func AnalyzeStreamContext(ctx context.Context, r *trace.Reader, opts Options) (*Analysis, error) {
 	opts.normalize()
-	pc := pipeline.NewContext(ctx, opts.registry(), opts.Workers)
+	reg := opts.registry()
 	acc := trace.NewStatsAccum()
 	st := abstract.New(opts.HeapNaming).Streamer(1 << 16)
 	var stats trace.Stats
 	var res *abstract.Result
-	if err := pc.Run(
-		pipeline.Stage{Name: pipeline.StageAbstract, Run: func(*pipeline.Context) error {
+	if err := pipeline.Run(reg,
+		pipeline.Stage{Name: pipeline.StageAbstract, Run: func() error {
 			if err := r.ForEach(func(e trace.Event) error {
 				acc.Add(e)
 				st.Process(e)
@@ -240,29 +219,30 @@ func AnalyzeStreamContext(ctx context.Context, r *trace.Reader, opts Options) (*
 			res = st.Result()
 			return nil
 		}},
-		pipeline.Stage{Name: pipeline.StageStats, Run: func(*pipeline.Context) error {
+		pipeline.Stage{Name: pipeline.StageStats, Run: func() error {
 			stats = acc.Stats()
 			return nil
 		}},
 	); err != nil {
 		return nil, err
 	}
-	return analyzeAbstracted(pc, stats, res, opts)
+	return analyzeAbstracted(reg, stats, res, opts), nil
 }
 
 // analyzeAbstracted is the shared pipeline tail: everything after trace statistics
-// and abstraction, run as stages on pc. opts must already be normalized.
+// and abstraction, run as stages timed into reg. opts must already be
+// normalized.
 // Independent, order-free computations (the two skew curves; the summary
 // and the two CDFs; the four Figure-9 simulations) fan out over
 // opts.Workers; each task fills a distinct result field from shared
 // read-only inputs, so the Analysis is bit-identical at any worker count.
-func analyzeAbstracted(pc *pipeline.Context, stats trace.Stats, res *abstract.Result, opts Options) (*Analysis, error) {
+func analyzeAbstracted(reg *obs.Registry, stats trace.Stats, res *abstract.Result, opts Options) *Analysis {
 	a := &Analysis{opts: opts}
 	a.TraceStats = stats
 	a.Abstraction = res
 
 	stages := []pipeline.Stage{
-		{Name: pipeline.StageSkew, Run: func(*pipeline.Context) error {
+		{Name: pipeline.StageSkew, Run: func() error {
 			return parallel.Do(opts.Workers,
 				func() error { a.AddressSkew = locality.AddressSkew(a.Abstraction.Addrs); return nil },
 				func() error { a.PCSkew = locality.PCSkew(a.Abstraction.PCs); return nil },
@@ -271,10 +251,10 @@ func analyzeAbstracted(pc *pipeline.Context, stats trace.Stats, res *abstract.Re
 		// Unnamed grouping stage: the reducer emits its own
 		// sequitur/threshold/detect/measure stages per level through the
 		// same runner, and its total wall clock is the §5.2 AnalysisTime.
-		{Run: func(pc *pipeline.Context) error {
+		{Run: func() error {
 			//lint:ignore determinism wall-clock feeds AnalysisTime, a reporting-only field; no analysis result depends on it
 			start := time.Now()
-			a.Pipeline = reduce.RunStaged(pc, a.Abstraction.Names, a.TraceStats.Addresses, reduce.Options{
+			a.Pipeline = reduce.Run(reg, a.Abstraction.Names, a.TraceStats.Addresses, reduce.Options{
 				MinLen:         opts.MinStreamLen,
 				MaxLen:         opts.MaxStreamLen,
 				CoverageTarget: opts.CoverageTarget,
@@ -285,7 +265,7 @@ func analyzeAbstracted(pc *pipeline.Context, stats trace.Stats, res *abstract.Re
 			a.AnalysisTime = time.Since(start)
 			return nil
 		}},
-		{Name: pipeline.StageSummary, Run: func(*pipeline.Context) error {
+		{Name: pipeline.StageSummary, Run: func() error {
 			streams := a.Streams()
 			return parallel.Do(opts.Workers,
 				func() error {
@@ -301,17 +281,15 @@ func analyzeAbstracted(pc *pipeline.Context, stats trace.Stats, res *abstract.Re
 		}},
 	}
 	if !opts.SkipPotential {
-		stages = append(stages, pipeline.Stage{Name: pipeline.StagePotential, Run: func(*pipeline.Context) error {
+		stages = append(stages, pipeline.Stage{Name: pipeline.StagePotential, Run: func() error {
 			a.Potential = optim.EvaluatePotentialParallel(
 				a.Abstraction.Names, a.Abstraction.Addrs, a.Abstraction.Objects,
 				a.Streams(), opts.Cache, opts.Workers)
 			return nil
 		}})
 	}
-	if err := pc.Run(stages...); err != nil {
-		return nil, err
-	}
-	return a, nil
+	_ = pipeline.Run(reg, stages...)
+	return a
 }
 
 // AnalyzePerThread splits a multi-threaded trace by thread and analyzes

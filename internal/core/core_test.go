@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -145,6 +146,27 @@ func TestOptionsNormalization(t *testing.T) {
 	}
 	if o.ReduceLevels != 1 {
 		t.Errorf("levels = %d", o.ReduceLevels)
+	}
+
+	// The window and coverage target normalize exactly as the online
+	// engine's do (online.TestOptionsNormalize): a raised floor never
+	// inverts the window, and NaN is out of range.
+	cases := []struct {
+		name             string
+		in               Options
+		wantMin, wantMax int
+		wantCoverage     float64
+	}{
+		{"floor above default cap", Options{MinStreamLen: 150}, 150, 150, 0.90},
+		{"floor above explicit smaller cap", Options{MinStreamLen: 150, MaxStreamLen: 80}, 150, 150, 0.90},
+		{"NaN coverage target", Options{CoverageTarget: math.NaN()}, 2, 100, 0.90},
+	}
+	for _, tc := range cases {
+		o := tc.in.Normalized()
+		if o.MinStreamLen != tc.wantMin || o.MaxStreamLen != tc.wantMax || o.CoverageTarget != tc.wantCoverage {
+			t.Errorf("%s: window [%d, %d] coverage %v, want [%d, %d] %v", tc.name,
+				o.MinStreamLen, o.MaxStreamLen, o.CoverageTarget, tc.wantMin, tc.wantMax, tc.wantCoverage)
+		}
 	}
 }
 

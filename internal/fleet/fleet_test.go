@@ -292,7 +292,7 @@ func TestParseParams(t *testing.T) {
 	if v, err := ParseThreshold("0.25", 0.5); err != nil || v != 0.25 {
 		t.Errorf("ParseThreshold(0.25) = %v, %v", v, err)
 	}
-	for _, bad := range []string{"1.5", "-0.1", "x"} {
+	for _, bad := range []string{"1.5", "-0.1", "x", "NaN", "nan", "+Inf"} {
 		if _, err := ParseThreshold(bad, 0.5); err == nil {
 			t.Errorf("ParseThreshold(%q) accepted", bad)
 		}

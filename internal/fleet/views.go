@@ -41,7 +41,7 @@ func ParseThreshold(s string, def float64) (float64, error) {
 		return def, nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 || v > 1 {
+	if err != nil || !(v >= 0 && v <= 1) { // NaN fails both comparisons
 		return 0, fmt.Errorf("bad threshold %q: want a number in [0, 1]", s)
 	}
 	return v, nil

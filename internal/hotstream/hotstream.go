@@ -77,12 +77,7 @@ type Config struct {
 func DefaultConfig(heat uint64) Config { return Config{MinLen: 2, MaxLen: 100, Heat: heat} }
 
 func (c *Config) normalize() {
-	if c.MinLen < 2 {
-		c.MinLen = 2
-	}
-	if c.MaxLen < c.MinLen {
-		c.MaxLen = c.MinLen
-	}
+	c.MinLen, c.MaxLen = window(c.MinLen, c.MaxLen)
 	if c.Heat == 0 {
 		c.Heat = 1
 	}

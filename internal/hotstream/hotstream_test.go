@@ -1,6 +1,7 @@
 package hotstream
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -431,5 +432,48 @@ func BenchmarkMeasure(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Measure(SliceSource(in), streams, DefaultConfig(1), 0, false)
+	}
+}
+
+// TestConfigAndSearchConfigShareWindow pins that detection (Config) and
+// the threshold search (SearchConfig) bound streams to the same window:
+// the batch and online drivers hand both the same fields, so any
+// disagreement here splits their results.
+func TestConfigAndSearchConfigShareWindow(t *testing.T) {
+	cases := []struct {
+		minLen, maxLen   int
+		wantMin, wantMax int
+	}{
+		{0, 0, 2, 100},
+		{2, 0, 2, 100},
+		{-5, -1, 2, 100},
+		{0, 1, 2, 100},
+		{2, 100, 2, 100},
+		{150, 0, 150, 150},
+		{150, 80, 150, 150},
+		{150, 100, 150, 150},
+		{7, 7, 7, 7},
+		{3, 5000, 3, 5000},
+	}
+	for _, tc := range cases {
+		c := Config{MinLen: tc.minLen, MaxLen: tc.maxLen}
+		c.normalize()
+		s := SearchConfig{MinLen: tc.minLen, MaxLen: tc.maxLen}.Normalized()
+		if c.MinLen != tc.wantMin || c.MaxLen != tc.wantMax {
+			t.Errorf("Config [%d, %d] -> [%d, %d], want [%d, %d]",
+				tc.minLen, tc.maxLen, c.MinLen, c.MaxLen, tc.wantMin, tc.wantMax)
+		}
+		if s.MinLen != tc.wantMin || s.MaxLen != tc.wantMax {
+			t.Errorf("SearchConfig [%d, %d] -> [%d, %d], want [%d, %d]",
+				tc.minLen, tc.maxLen, s.MinLen, s.MaxLen, tc.wantMin, tc.wantMax)
+		}
+	}
+	for _, target := range []float64{0, -0.5, 1.5, math.NaN(), math.Inf(1)} {
+		if got := (SearchConfig{CoverageTarget: target}).Normalized().CoverageTarget; got != 0.90 {
+			t.Errorf("coverage target %v -> %v, want 0.90", target, got)
+		}
+	}
+	if got := (SearchConfig{CoverageTarget: 0.5}).Normalized().CoverageTarget; got != 0.5 {
+		t.Errorf("coverage target 0.5 -> %v, want it kept", got)
 	}
 }

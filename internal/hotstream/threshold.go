@@ -84,19 +84,34 @@ type SearchConfig struct {
 	MaxMultiple uint64
 }
 
-func (c *SearchConfig) normalize() {
-	if c.MinLen < 2 {
-		c.MinLen = 2
-	}
-	if c.MaxLen < c.MinLen {
-		c.MaxLen = 100
-	}
-	if c.CoverageTarget <= 0 || c.CoverageTarget > 1 {
+// Normalized returns the configuration with the paper's defaults
+// applied: the stream-length rule of window, a coverage target outside
+// (0, 1] (NaN included) replaced by 0.90, and a zero search cap by
+// 1<<20. It is the one place these defaults live; the batch and online
+// option types apply their window and coverage target through it, so
+// the two can never disagree on them.
+func (c SearchConfig) Normalized() SearchConfig {
+	c.MinLen, c.MaxLen = window(c.MinLen, c.MaxLen)
+	if !(c.CoverageTarget > 0 && c.CoverageTarget <= 1) {
 		c.CoverageTarget = 0.90
 	}
 	if c.MaxMultiple == 0 {
 		c.MaxMultiple = 1 << 20
 	}
+	return c
+}
+
+// window bounds stream lengths as the paper does (§5.2: 2..100): a floor
+// below 2 becomes 2, and a cap below the floor becomes the larger of 100
+// and the floor, so raising only the floor never inverts the window.
+func window(minLen, maxLen int) (int, int) {
+	if minLen < 2 {
+		minLen = 2
+	}
+	if maxLen < minLen {
+		maxLen = max(100, minLen)
+	}
+	return minLen, maxLen
 }
 
 // FixedThreshold builds the threshold record for an explicitly chosen
@@ -137,7 +152,7 @@ func FixedThreshold(multiple, totalRefs, totalAddrs uint64) Threshold {
 // minimality trie its detection pass left there instead of building a
 // second trie of the same streams.
 func FindThreshold(d dagView, src walker, totalRefs, totalAddrs uint64, cfg SearchConfig) (Threshold, *Measurement) {
-	cfg.normalize()
+	cfg = cfg.Normalized()
 	seq, ok := src.(SliceSource)
 	if !ok {
 		seq = make(SliceSource, 0, totalRefs)

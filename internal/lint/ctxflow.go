@@ -5,11 +5,13 @@ import (
 	"go/types"
 )
 
-// CtxFlow enforces context plumbing discipline across the pipeline: the
-// stage runner threads one context.Context from the caller down through
-// every stage (cancellation is how a shard drain or a request timeout
-// stops an in-flight analysis), and that chain only works if every layer
-// passes the same context along instead of minting a fresh root.
+// CtxFlow enforces context plumbing discipline: a context.Context is only
+// worth carrying if it reaches a callee from the caller that can cancel
+// it (a cmd/ entry point, a test), and that chain only works if every
+// layer passes the same context along instead of minting a fresh root.
+// No analysis entry point takes a context today — nothing cancels one —
+// so the rule keeps any context added later honest rather than guarding
+// a live cancellation path.
 //
 // Flagged:
 //
@@ -23,8 +25,8 @@ import (
 //     outside internal/pipeline: a fresh root context detaches the
 //     callee from cancellation. Roots belong in cmd/ entry points and
 //     tests; internal/pipeline is exempt as the one sanctioned
-//     normalization boundary (its NewContext documents nil →
-//     Background).
+//     root (its stage runner labels CPU profiles under pprof.Do,
+//     which needs a context).
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "ctx is the first parameter, threaded to callees; no context roots outside cmd/",

@@ -55,6 +55,8 @@ type Options struct {
 	// HeapNaming selects the address abstraction (default: birth IDs).
 	HeapNaming abstract.Mode
 	// MinStreamLen/MaxStreamLen bound hot data streams (paper: 2, 100).
+	// They and CoverageTarget default as hotstream.SearchConfig.Normalized
+	// does, the same rule the batch pipeline applies.
 	MinStreamLen, MaxStreamLen int
 	// CoverageTarget is the hot-stream coverage constraint driving the
 	// threshold search (paper: 0.90).
@@ -89,21 +91,10 @@ func (o Options) registry() *obs.Registry {
 }
 
 func (o *Options) normalize() {
-	if o.MinStreamLen < 2 {
-		o.MinStreamLen = 2
-	}
-	if o.MaxStreamLen < o.MinStreamLen {
-		// The paper's default cap is 100, but a caller that raised only
-		// the floor must not end up with an inverted [min, max] window:
-		// clamp the cap to the floor in that case.
-		o.MaxStreamLen = 100
-		if o.MaxStreamLen < o.MinStreamLen {
-			o.MaxStreamLen = o.MinStreamLen
-		}
-	}
-	if o.CoverageTarget <= 0 || o.CoverageTarget > 1 {
-		o.CoverageTarget = 0.90
-	}
+	w := hotstream.SearchConfig{
+		MinLen: o.MinStreamLen, MaxLen: o.MaxStreamLen, CoverageTarget: o.CoverageTarget,
+	}.Normalized()
+	o.MinStreamLen, o.MaxStreamLen, o.CoverageTarget = w.MinLen, w.MaxLen, w.CoverageTarget
 	if o.BlockSize <= 0 {
 		o.BlockSize = 64
 	}
@@ -295,7 +286,6 @@ func (e *Engine) Stats() trace.Stats { return e.acc.Stats() }
 // so a serving process's obs registry accumulates per-stage latency
 // histograms across snapshots and CPU profiles carry stage labels.
 func (e *Engine) Snapshot() *Snapshot {
-	pc := pipeline.NewContext(nil, e.opts.registry(), 1)
 	refs := e.g.InputLen()
 	var stats trace.Stats
 	var dsrc *hotstream.DAGSource
@@ -305,19 +295,19 @@ func (e *Engine) Snapshot() *Snapshot {
 	var meas *hotstream.Measurement
 	var sum locality.Summary
 	var grammar sequitur.Stats
-	_ = pc.Run(
-		pipeline.Stage{Name: pipeline.StageStats, Run: func(*pipeline.Context) error {
+	_ = pipeline.Run(e.opts.registry(),
+		pipeline.Stage{Name: pipeline.StageStats, Run: func() error {
 			stats = e.acc.Stats()
 			return nil
 		}},
-		pipeline.Stage{Name: pipeline.StageSequitur, Run: func(*pipeline.Context) error {
+		pipeline.Stage{Name: pipeline.StageSequitur, Run: func() error {
 			dag := sequitur.NewDAG(e.g, e.opts.MaxStreamLen)
 			e.dagFresh = true
 			dsrc = hotstream.NewDAGSource(dag)
 			grammar = dag.ComputeStats()
 			return nil
 		}},
-		pipeline.Stage{Name: pipeline.StageThreshold, Run: func(*pipeline.Context) error {
+		pipeline.Stage{Name: pipeline.StageThreshold, Run: func() error {
 			switch {
 			case e.opts.FixedHeatMultiple > 0:
 				th = hotstream.FixedThreshold(e.opts.FixedHeatMultiple, refs, stats.Addresses)
@@ -334,20 +324,20 @@ func (e *Engine) Snapshot() *Snapshot {
 			cfg = hotstream.Config{MinLen: e.opts.MinStreamLen, MaxLen: e.opts.MaxStreamLen, Heat: th.Heat}
 			return nil
 		}},
-		pipeline.Stage{Name: pipeline.StageDetect, Run: func(*pipeline.Context) error {
+		pipeline.Stage{Name: pipeline.StageDetect, Run: func() error {
 			if meas == nil {
 				streams = hotstream.Detect(dsrc, cfg)
 			}
 			return nil
 		}},
-		pipeline.Stage{Name: pipeline.StageMeasure, Run: func(*pipeline.Context) error {
+		pipeline.Stage{Name: pipeline.StageMeasure, Run: func() error {
 			if meas == nil {
 				meas = hotstream.Measure(e.g, streams, cfg, 0, false)
 			}
 			th.Coverage = meas.Coverage()
 			return nil
 		}},
-		pipeline.Stage{Name: pipeline.StageSummary, Run: func(*pipeline.Context) error {
+		pipeline.Stage{Name: pipeline.StageSummary, Run: func() error {
 			sum = locality.Summarize(meas.Streams, e.abs.Objects(), e.opts.BlockSize)
 			return nil
 		}},

@@ -48,14 +48,23 @@ func ingestChunked(e *Engine, b *trace.Buffer, chunk int) {
 // byte-identical to the batch pipeline's level-0 results over the same
 // records.
 func TestOnlineMatchesBatch(t *testing.T) {
-	for _, bench := range []string{"boxsim", "176.gcc"} {
-		t.Run(bench, func(t *testing.T) {
-			b := genTrace(t, bench, 30_000)
+	for _, tc := range []struct {
+		name, bench string
+		minLen      int
+	}{
+		{"boxsim", "boxsim", 0},
+		{"176.gcc", "176.gcc", 0},
+		// A floor above the paper's cap of 100: both sides must widen
+		// the cap to the floor, not invert the window.
+		{"boxsim-min150", "boxsim", 150},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := genTrace(t, tc.bench, 30_000)
 
-			batch := core.Analyze(b, core.Options{SkipPotential: true})
+			batch := core.Analyze(b, core.Options{SkipPotential: true, MinStreamLen: tc.minLen})
 			want := snapshotJSON(t, SnapshotFromAnalysis(batch))
 
-			e := NewEngine(Options{})
+			e := NewEngine(Options{MinStreamLen: tc.minLen})
 			ingestChunked(e, b, 777) // deliberately awkward chunk size
 			got := snapshotJSON(t, e.Snapshot())
 

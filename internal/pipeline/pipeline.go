@@ -5,16 +5,16 @@
 // — but it has three drivers (batch core.Analyze, streaming
 // core.AnalyzeStream, and the online engine's Snapshot). This package is
 // the single place the phases execute: each driver assembles named Stage
-// values and a Context (options + observability + cancellation) threads
-// through them, so per-stage wall time, pprof labels, and cancellation
-// behave identically regardless of which frontend started the run.
+// values and hands them to Run with its metrics registry, so per-stage
+// wall time and pprof labels behave identically regardless of which
+// frontend started the run. Stages close over whatever else they need
+// (options, the worker budget); the runner carries only the registry.
 //
-// Instrumentation is opt-in and cheap: with no obs.Registry attached, a
-// stage run is a cancellation check and a function call; with one
-// attached, each named stage records a sample to the duration histogram
-// "pipeline.stage.<name>" and runs under a runtime/pprof label
-// stage=<name>, so CPU profiles of a live locserve attribute samples to
-// pipeline phases.
+// Instrumentation is opt-in and cheap: with no obs.Registry, a stage run
+// is a function call; with one, each named stage records a sample to the
+// duration histogram "pipeline.stage.<name>" and runs under a
+// runtime/pprof label stage=<name>, so CPU profiles of a live locserve
+// attribute samples to pipeline phases.
 package pipeline
 
 import (
@@ -88,75 +88,16 @@ func SnapshotStages() []string {
 // own finer-grained named stages through the same runner.
 type Stage struct {
 	Name string
-	Run  func(*Context) error
+	Run  func() error
 }
 
-// Context threads a run's options through its stages: cancellation,
-// observability, and the worker budget. A nil *Context is valid and
-// means "no cancellation, no instrumentation, sequential" — the zero
-// path legacy entry points use.
-type Context struct {
-	ctx     context.Context
-	reg     *obs.Registry
-	workers int
-}
-
-// NewContext builds a run context. A nil ctx means context.Background();
-// reg nil disables instrumentation; workers <= 1 is sequential.
-func NewContext(ctx context.Context, reg *obs.Registry, workers int) *Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &Context{ctx: ctx, reg: reg, workers: workers}
-}
-
-// Obs returns the run's registry (nil when disabled or on a nil
-// Context).
-func (c *Context) Obs() *obs.Registry {
-	if c == nil {
-		return nil
-	}
-	return c.reg
-}
-
-// Workers returns the run's worker budget (1 on a nil Context).
-func (c *Context) Workers() int {
-	if c == nil {
-		return 1
-	}
-	return c.workers
-}
-
-// Context returns the underlying cancellation context.
-func (c *Context) Context() context.Context {
-	if c == nil || c.ctx == nil {
-		return context.Background()
-	}
-	return c.ctx
-}
-
-// Err reports the cancellation state; stages are never started after the
-// context is done.
-func (c *Context) Err() error {
-	if c == nil || c.ctx == nil {
-		return nil
-	}
-	return c.ctx.Err()
-}
-
-// Run executes stages in order through the shared runner: a cancellation
-// check before each stage, then the stage body under its timer and pprof
-// label. The first stage error (or cancellation) stops the run and is
-// returned; completed stages keep their effects.
-func (c *Context) Run(stages ...Stage) error {
+// Run executes stages in order through the shared runner, each under its
+// timer and pprof label when reg is non-nil; a nil reg runs them plain.
+// The first stage error stops the run and is returned; completed stages
+// keep their effects.
+func Run(reg *obs.Registry, stages ...Stage) error {
 	for _, s := range stages {
-		if err := c.Err(); err != nil {
-			return err
-		}
-		if err := c.runStage(s); err != nil {
+		if err := runStage(reg, s); err != nil {
 			return err
 		}
 	}
@@ -165,21 +106,20 @@ func (c *Context) Run(stages ...Stage) error {
 
 // Time runs one named phase through the runner: the convenience form
 // sub-phase emitters (the trace reducer's per-level loop) use.
-func (c *Context) Time(name string, fn func() error) error {
-	return c.runStage(Stage{Name: name, Run: func(*Context) error { return fn() }})
+func Time(reg *obs.Registry, name string, fn func() error) error {
+	return runStage(reg, Stage{Name: name, Run: fn})
 }
 
-func (c *Context) runStage(s Stage) error {
-	reg := c.Obs()
+func runStage(reg *obs.Registry, s Stage) error {
 	if reg == nil || s.Name == "" {
 		// Disabled (or grouping stage): one nil-check, no labels.
-		return s.Run(c)
+		return s.Run()
 	}
 	stop := reg.Timer(StageTimerName(s.Name)).Start()
 	defer stop()
 	var err error
-	pprof.Do(c.Context(), pprof.Labels("stage", s.Name), func(context.Context) {
-		err = s.Run(c)
+	pprof.Do(context.Background(), pprof.Labels("stage", s.Name), func(context.Context) {
+		err = s.Run()
 	})
 	return err
 }

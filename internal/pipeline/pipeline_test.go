@@ -1,24 +1,19 @@
 package pipeline
 
 import (
-	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// TestNilContextRuns proves the zero path: a nil *Context runs stages
-// sequentially with no instrumentation and no cancellation.
-func TestNilContextRuns(t *testing.T) {
-	var pc *Context
-	if pc.Obs() != nil || pc.Workers() != 1 || pc.Err() != nil {
-		t.Fatal("nil context accessors not at defaults")
-	}
+// TestNilRegistryRuns proves the zero path: a nil registry runs stages
+// in order with no instrumentation.
+func TestNilRegistryRuns(t *testing.T) {
 	var order []string
-	err := pc.Run(
-		Stage{Name: StageStats, Run: func(*Context) error { order = append(order, "a"); return nil }},
-		Stage{Run: func(*Context) error { order = append(order, "b"); return nil }},
+	err := Run(nil,
+		Stage{Name: StageStats, Run: func() error { order = append(order, "a"); return nil }},
+		Stage{Run: func() error { order = append(order, "b"); return nil }},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -26,21 +21,17 @@ func TestNilContextRuns(t *testing.T) {
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("order = %v", order)
 	}
-	if err := pc.Time("x", func() error { return nil }); err != nil {
+	if err := Time(nil, "x", func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRecordsTimers(t *testing.T) {
 	reg := obs.New()
-	pc := NewContext(context.Background(), reg, 4)
-	if pc.Workers() != 4 {
-		t.Fatalf("workers = %d", pc.Workers())
-	}
-	err := pc.Run(
-		Stage{Name: StageDetect, Run: func(*Context) error { return nil }},
-		Stage{Name: StageMeasure, Run: func(*Context) error { return nil }},
-		Stage{Run: func(*Context) error { return nil }}, // grouping stage: no timer
+	err := Run(reg,
+		Stage{Name: StageDetect, Run: func() error { return nil }},
+		Stage{Name: StageMeasure, Run: func() error { return nil }},
+		Stage{Run: func() error { return nil }}, // grouping stage: no timer
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -60,33 +51,16 @@ func TestRunRecordsTimers(t *testing.T) {
 func TestRunStopsOnError(t *testing.T) {
 	boom := errors.New("boom")
 	ran := 0
-	pc := NewContext(nil, nil, 0)
-	err := pc.Run(
-		Stage{Name: StageStats, Run: func(*Context) error { ran++; return nil }},
-		Stage{Name: StageAbstract, Run: func(*Context) error { ran++; return boom }},
-		Stage{Name: StageSkew, Run: func(*Context) error { ran++; return nil }},
+	err := Run(nil,
+		Stage{Name: StageStats, Run: func() error { ran++; return nil }},
+		Stage{Name: StageAbstract, Run: func() error { ran++; return boom }},
+		Stage{Name: StageSkew, Run: func() error { ran++; return nil }},
 	)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if ran != 2 {
 		t.Fatalf("ran = %d stages, want 2", ran)
-	}
-}
-
-func TestRunHonorsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	pc := NewContext(ctx, nil, 1)
-	ran := 0
-	err := pc.Run(
-		Stage{Name: StageStats, Run: func(*Context) error { ran++; cancel(); return nil }},
-		Stage{Name: StageAbstract, Run: func(*Context) error { ran++; return nil }},
-	)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran != 1 {
-		t.Fatalf("ran = %d stages, want 1 (second must not start after cancel)", ran)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestPipelineLevelsPinned(t *testing.T) {
 			res := abstract.New(abstract.BirthID).Abstract(buf)
 			opts := DefaultOptions()
 			opts.Levels = 2
-			p := Run(res.Names, buf.Stats().Addresses, opts)
+			p := Run(nil, res.Names, buf.Stats().Addresses, opts)
 			if len(p.Levels) != len(c.want) {
 				t.Fatalf("levels = %d, want %d", len(p.Levels), len(c.want))
 			}

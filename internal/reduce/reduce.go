@@ -14,6 +14,7 @@ package reduce
 
 import (
 	"repro/internal/hotstream"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/sequitur"
 	"repro/internal/sfg"
@@ -37,11 +38,9 @@ type Options struct {
 	Sequitur sequitur.Options
 }
 
-// DefaultOptions mirrors the paper.
-func DefaultOptions() Options {
-	return Options{MinLen: 2, MaxLen: 100, CoverageTarget: 0.90, Levels: 1,
-		Sequitur: sequitur.Options{MinRuleOccurrences: 2}}
-}
+// DefaultOptions mirrors the paper: one reduction level, and the zero
+// window and coverage fields, which Run reads as the paper's values.
+func DefaultOptions() Options { return Options{Levels: 1} }
 
 // Level is one pipeline stage: WPS_i, hot data streams_i, and SFG_i.
 type Level struct {
@@ -82,31 +81,20 @@ type Pipeline struct {
 // Run executes the pipeline on an abstracted name sequence. totalAddrs is
 // the number of distinct data addresses in the original trace (it
 // normalizes the level-0 threshold to unit-uniform-access multiples).
-func Run(names []uint64, totalAddrs uint64, opts Options) *Pipeline {
-	return RunStaged(nil, names, totalAddrs, opts)
-}
-
-// RunStaged is Run with each level's four phases — SEQUITUR compression,
-// threshold search, detection (skipped when the search already detected
-// at the chosen heat), exact measurement — routed through the
-// shared stage runner, so per-phase wall time lands in the
+// Zero or out-of-range window and coverage fields take the defaults of
+// hotstream.SearchConfig.Normalized.
+//
+// Each level's four phases — SEQUITUR compression, threshold search,
+// detection (skipped when the search already detected at the chosen
+// heat), exact measurement — run through the shared stage runner, so
+// with a non-nil reg per-phase wall time lands in the
 // "pipeline.stage.*" timers and CPU samples carry stage labels. A nil
-// pc runs the phases plain; the result is identical either way (the
+// reg runs the phases plain; the result is identical either way (the
 // runner only wraps, it never reorders).
-func RunStaged(pc *pipeline.Context, names []uint64, totalAddrs uint64, opts Options) *Pipeline {
-	def := DefaultOptions()
-	if opts.MinLen < 2 {
-		opts.MinLen = def.MinLen
-	}
-	if opts.MaxLen < opts.MinLen {
-		opts.MaxLen = def.MaxLen
-	}
-	if opts.CoverageTarget <= 0 || opts.CoverageTarget > 1 {
-		opts.CoverageTarget = def.CoverageTarget
-	}
-	if opts.Sequitur.MinRuleOccurrences < 2 {
-		opts.Sequitur.MinRuleOccurrences = 2
-	}
+func Run(reg *obs.Registry, names []uint64, totalAddrs uint64, opts Options) *Pipeline {
+	scfg := hotstream.SearchConfig{
+		MinLen: opts.MinLen, MaxLen: opts.MaxLen, CoverageTarget: opts.CoverageTarget,
+	}.Normalized()
 
 	p := &Pipeline{OriginalRefs: uint64(len(names))}
 	cur := names
@@ -119,8 +107,8 @@ func RunStaged(pc *pipeline.Context, names []uint64, totalAddrs uint64, opts Opt
 
 	for lvl := 0; lvl <= opts.Levels; lvl++ {
 		var w *wps.WPS
-		_ = pc.Time(pipeline.StageSequitur, func() error {
-			w = wps.Build(cur, wps.Options{MaxStreamLen: opts.MaxLen, Sequitur: opts.Sequitur})
+		_ = pipeline.Time(reg, pipeline.StageSequitur, func() error {
+			w = wps.Build(cur, wps.Options{MaxStreamLen: scfg.MaxLen, Sequitur: opts.Sequitur})
 			return nil
 		})
 		level := Level{Index: lvl, WPS: w}
@@ -133,13 +121,10 @@ func RunStaged(pc *pipeline.Context, names []uint64, totalAddrs uint64, opts Opt
 		dag := hotstream.NewDAGSource(w.DAG)
 		var th hotstream.Threshold
 		var searched *hotstream.Measurement
-		_ = pc.Time(pipeline.StageThreshold, func() error {
+		_ = pipeline.Time(reg, pipeline.StageThreshold, func() error {
 			if opts.FixedMultiple > 0 {
 				th = hotstream.FixedThreshold(opts.FixedMultiple, uint64(len(cur)), curAddrs)
 			} else {
-				scfg := hotstream.SearchConfig{
-					MinLen: opts.MinLen, MaxLen: opts.MaxLen, CoverageTarget: opts.CoverageTarget,
-				}
 				th, searched = hotstream.FindThreshold(dag, src, uint64(len(cur)), curAddrs, scfg)
 			}
 			return nil
@@ -157,9 +142,9 @@ func RunStaged(pc *pipeline.Context, names []uint64, totalAddrs uint64, opts Opt
 		// is the union over the same kept set (which is what the search
 		// measurement reported after its own drop), and the dense IDs
 		// come out in the same order.
-		cfg := hotstream.Config{MinLen: opts.MinLen, MaxLen: opts.MaxLen, Heat: th.Heat}
+		cfg := hotstream.Config{MinLen: scfg.MinLen, MaxLen: scfg.MaxLen, Heat: th.Heat}
 		var streams []*hotstream.Stream
-		_ = pc.Time(pipeline.StageDetect, func() error {
+		_ = pipeline.Time(reg, pipeline.StageDetect, func() error {
 			if searched != nil {
 				streams = searched.Streams
 			} else {
@@ -169,7 +154,7 @@ func RunStaged(pc *pipeline.Context, names []uint64, totalAddrs uint64, opts Opt
 		})
 		base := maxSymbol(cur) + 1
 		var meas *hotstream.Measurement
-		_ = pc.Time(pipeline.StageMeasure, func() error {
+		_ = pipeline.Time(reg, pipeline.StageMeasure, func() error {
 			meas = hotstream.Measure(src, streams, cfg, base, true)
 			level.SFG = sfg.Build(meas.Reduced, base, len(meas.Streams))
 			return nil

@@ -20,7 +20,7 @@ func motifTrace(n int, seed int64) []uint64 {
 
 func TestPipelineTwoLevels(t *testing.T) {
 	names := motifTrace(20000, 1)
-	p := Run(names, 42, DefaultOptions())
+	p := Run(nil, names, 42, DefaultOptions())
 	if len(p.Levels) < 2 {
 		t.Fatalf("levels = %d, want >= 2", len(p.Levels))
 	}
@@ -45,7 +45,7 @@ func TestPipelineTwoLevels(t *testing.T) {
 
 func TestCoverageBookkeeping(t *testing.T) {
 	names := motifTrace(20000, 2)
-	p := Run(names, 42, DefaultOptions())
+	p := Run(nil, names, 42, DefaultOptions())
 	l0 := p.Levels[0]
 	// Streams0 must cover roughly the coverage target of original refs.
 	if l0.OriginalCoverage < 0.5 || l0.OriginalCoverage > 1.0 {
@@ -66,7 +66,7 @@ func TestCoverageBookkeeping(t *testing.T) {
 
 func TestRefWeights(t *testing.T) {
 	names := motifTrace(10000, 3)
-	p := Run(names, 42, DefaultOptions())
+	p := Run(nil, names, 42, DefaultOptions())
 	l0 := p.Levels[0]
 	for i, s := range l0.Streams {
 		if l0.RefWeight[i] != uint64(len(s.Seq)) {
@@ -88,7 +88,7 @@ func TestRefWeights(t *testing.T) {
 
 func TestSFGBuiltPerLevel(t *testing.T) {
 	names := motifTrace(10000, 4)
-	p := Run(names, 42, DefaultOptions())
+	p := Run(nil, names, 42, DefaultOptions())
 	for _, l := range p.Levels {
 		if len(l.Streams) > 0 && l.SFG == nil {
 			t.Errorf("level %d has streams but no SFG", l.Index)
@@ -101,7 +101,7 @@ func TestSFGBuiltPerLevel(t *testing.T) {
 
 func TestSizes(t *testing.T) {
 	names := motifTrace(10000, 5)
-	p := Run(names, 42, DefaultOptions())
+	p := Run(nil, names, 42, DefaultOptions())
 	sizes := p.Sizes()
 	if len(sizes) != len(p.Levels) {
 		t.Fatalf("sizes = %d, levels = %d", len(sizes), len(p.Levels))
@@ -115,14 +115,14 @@ func TestSizes(t *testing.T) {
 
 func TestZeroLevels(t *testing.T) {
 	names := motifTrace(5000, 6)
-	p := Run(names, 42, Options{Levels: 0, MinLen: 2, MaxLen: 100, CoverageTarget: 0.9})
+	p := Run(nil, names, 42, Options{Levels: 0, MinLen: 2, MaxLen: 100, CoverageTarget: 0.9})
 	if len(p.Levels) != 1 {
 		t.Fatalf("levels = %d, want 1", len(p.Levels))
 	}
 }
 
 func TestEmptyInput(t *testing.T) {
-	p := Run(nil, 0, DefaultOptions())
+	p := Run(nil, nil, 0, DefaultOptions())
 	if len(p.Levels) != 1 {
 		t.Fatalf("levels = %d, want 1 (bare WPS0)", len(p.Levels))
 	}
@@ -139,7 +139,7 @@ func TestIrregularInputStops(t *testing.T) {
 	for i := range names {
 		names[i] = uint64(rng.Intn(2500))
 	}
-	p := Run(names, 2500, DefaultOptions())
+	p := Run(nil, names, 2500, DefaultOptions())
 	if len(p.Levels) == 0 {
 		t.Fatal("no levels")
 	}

@@ -89,8 +89,10 @@ func TestFleetViews(t *testing.T) {
 	if code, _ := get(t, ts.URL+"/v1/fleet/streams?top=-1"); code != http.StatusBadRequest {
 		t.Errorf("bad top: status %d", code)
 	}
-	if code, _ := get(t, ts.URL+"/v1/fleet/clusters?threshold=1.5"); code != http.StatusBadRequest {
-		t.Errorf("bad threshold: status %d", code)
+	for _, q := range []string{"/v1/fleet/clusters?threshold=1.5", "/v1/fleet/clusters?threshold=NaN"} {
+		if code, _ := get(t, ts.URL+q); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", q, code)
+		}
 	}
 }
 

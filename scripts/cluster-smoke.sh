@@ -7,7 +7,9 @@
 # rehydrates the exact engine state from the store and the final snapshot
 # must be byte-identical to (and locdiff-clean against) a single-node
 # batch analysis of the full trace. The zero-drift rebalance guarantee,
-# checked from the shell the way CI exercises it.
+# checked from the shell the way CI exercises it. The gateway also runs
+# its shard health prober (-probe), and every remaining shard must end
+# up stamped healthy in /v1/shards.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -52,7 +54,7 @@ pid_a=$!; pids="$pids $pid_a"
 pid_b=$!; pids="$pids $pid_b"
 "$tmp/locserve" -addr "$addr_c" -store "$store" -handoff &
 pid_c=$!; pids="$pids $pid_c"
-"$tmp/locgate" -addr "$gw" \
+"$tmp/locgate" -addr "$gw" -probe 200ms \
   -shards "a=http://$addr_a,b=http://$addr_b,c=http://$addr_c" &
 pid_gw=$!; pids="$pids $pid_gw"
 
@@ -153,4 +155,20 @@ for name in '"locserve.records"' '"locgate.forwards"' '"locgate.rebalances"'; do
   esac
 done
 
-echo "cluster-smoke: OK (6 sessions across 3 shards, shard killed mid-run, rebalanced snapshots locdiff-clean)"
+# The health prober (running every 200ms) has stamped every remaining
+# shard, and none of them healthy: false.
+shards_json=$(curl -sf "http://$gw/v1/shards")
+n_shards=$(printf '%s' "$shards_json" | grep -c '"name":' || true)
+n_probed=$(printf '%s' "$shards_json" | grep -c '"lastProbe":' || true)
+if [ "$n_shards" -eq 0 ] || [ "$n_probed" -ne "$n_shards" ]; then
+  echo "cluster-smoke: $n_probed of $n_shards shards carry a probe timestamp:" >&2
+  echo "$shards_json" >&2
+  exit 1
+fi
+case "$shards_json" in *'"healthy": false'*)
+  echo "cluster-smoke: a live shard probed unhealthy:" >&2
+  echo "$shards_json" >&2
+  exit 1;;
+esac
+
+echo "cluster-smoke: OK (6 sessions across 3 shards, shard killed mid-run, rebalanced snapshots locdiff-clean, shards probed healthy)"
