@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-smoke bench-pipeline bench-ingest repro csv lint lint-baseline race sanitize serve-smoke cluster-smoke locbench-check locdiff-smoke obs-smoke fuzz fuzz-smoke cover clean
+.PHONY: all build test bench bench-smoke bench-pipeline bench-ingest repro csv lint lint-baseline race sanitize cluster-smoke locbench-check locdiff-smoke obs-smoke fuzz fuzz-smoke cover clean
 
 all: build test lint
 
@@ -53,17 +53,13 @@ race:
 sanitize:
 	$(GO) test -tags repro_sanitize ./internal/sequitur/
 
-# End-to-end smoke of the online locality service: start locserve,
-# stream a trace into it with tracegen, and diff the served snapshot
-# against the batch pipeline's output.
-serve-smoke:
-	./scripts/serve-smoke.sh
-
 # End-to-end smoke of the sharded deployment: locgate routing six
 # sessions across three locserve shards, one shard killed mid-run and
 # retired; the drained sessions rehydrate on their new owners and every
 # final snapshot must be locdiff-clean against a single-node batch. The
-# gateway's health prober must stamp every remaining shard healthy.
+# gateway's health prober must stamp every remaining shard healthy, one
+# upload runs paced, and the merged locserve.rules gauge must read above
+# zero.
 cluster-smoke:
 	./scripts/cluster-smoke.sh
 

@@ -265,7 +265,7 @@ func BenchmarkAblationAssociativity(b *testing.B) {
 		for _, assoc := range []int{2, 4, 0} {
 			cfg := cache.Config{Size: 8192, BlockSize: 64, Assoc: assoc}
 			p := optim.EvaluatePotential(a.Abstraction.Names, a.Abstraction.Addrs,
-				a.Abstraction.Objects, a.Streams(), cfg)
+				a.Abstraction.Objects, a.Streams(), cfg, 1)
 			_, _, co := p.Normalized()
 			switch assoc {
 			case 2:
@@ -344,7 +344,7 @@ func BenchmarkPotentialWorkers(b *testing.B) {
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				optim.EvaluatePotentialParallel(a.Abstraction.Names, a.Abstraction.Addrs,
+				optim.EvaluatePotential(a.Abstraction.Names, a.Abstraction.Addrs,
 					a.Abstraction.Objects, a.Streams(), cache.FullyAssociative8K, workers)
 			}
 			b.ReportMetric(float64(len(a.Abstraction.Addrs)), "refs/op")

@@ -81,7 +81,7 @@ func main() {
 		remap.Placed(), before.WtAvgPackingEfficiency, after.WtAvgPackingEfficiency)
 
 	p := optim.EvaluatePotential(a.Abstraction.Names, a.Abstraction.Addrs,
-		a.Abstraction.Objects, a.Streams(), cache.FullyAssociative8K)
+		a.Abstraction.Objects, a.Streams(), cache.FullyAssociative8K, 1)
 	pr, cl, co := p.Normalized()
 	fmt.Printf("miss rate (8K fully-assoc, 64B blocks): base %.2f%%; prefetch %.0f%%, cluster %.0f%%, both %.0f%% of base\n",
 		p.Base, pr, cl, co)

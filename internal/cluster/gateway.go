@@ -159,8 +159,7 @@ func (g *Gateway) AddShard(name, baseURL string) ([]string, error) {
 func (g *Gateway) RemoveShard(name string) ([]string, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	sh, ok := g.shards[name]
-	if !ok {
+	if _, ok := g.shards[name]; !ok {
 		return nil, fmt.Errorf("unknown shard %s", name)
 	}
 	next := g.ring.Clone()
@@ -171,7 +170,6 @@ func (g *Gateway) RemoveShard(name string) ([]string, error) {
 	}
 	delete(g.shards, name)
 	g.ring = next
-	sh.close()
 	g.healthMu.Lock()
 	delete(g.health, name)
 	g.healthMu.Unlock()
@@ -182,12 +180,12 @@ func (g *Gateway) RemoveShard(name string) ([]string, error) {
 
 // drainMovedLocked diffs session placement between the live ring and
 // next, drains every moved session from its current owner, and returns
-// the moved session names (sorted: knownSessions ordering). Owners are
-// flushed first, so uploads already queued at the gateway land before
-// the drain. An unreachable owner is tolerated — its process persisted
-// state at shutdown or lost it with the host; either way draining is
-// not possible and not useful. Any other drain failure aborts. Callers
-// hold g.mu exclusively.
+// the moved session names (sorted: knownSessions ordering). No upload
+// routed through this gateway is in flight during the drain: each holds
+// g.mu shared until its shard answers. An unreachable owner is
+// tolerated — its process persisted state at shutdown or lost it with
+// the host; either way draining is not possible and not useful. Any
+// other drain failure aborts. Callers hold g.mu exclusively.
 func (g *Gateway) drainMovedLocked(next *Ring) ([]string, error) {
 	byOwner := make(map[string][]string)
 	moved := []string{} // a JSON array, not null, when nothing moves
@@ -210,7 +208,6 @@ func (g *Gateway) drainMovedLocked(next *Ring) ([]string, error) {
 		if sh == nil {
 			continue // owner already departed; sessions rehydrate from the store
 		}
-		sh.waitFlush()
 		resp := sh.do(http.MethodPost, "/v1/drain?"+url.Values{"session": sessions}.Encode(), nil)
 		if resp.err != nil {
 			fmt.Fprintf(os.Stderr, "locgate: drain %s unreachable (%v); relying on persisted state\n", owner, resp.err)
@@ -244,15 +241,12 @@ func (g *Gateway) replayPlacementLocked(moved []string) {
 	}
 }
 
-// CloseShards stops the forwarding senders (used by tests and at
-// gateway shutdown; the shards themselves keep running).
+// CloseShards drops every member without draining it (used by tests
+// and at gateway shutdown; the shards themselves keep running).
 func (g *Gateway) CloseShards() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for name, sh := range g.shards {
-		sh.close()
-		delete(g.shards, name)
-	}
+	g.shards = make(map[string]*shard)
 	g.ring = NewRing(g.ring.vnodes)
 }
 
@@ -282,8 +276,8 @@ func (g *Gateway) handlers() map[string]http.Handler {
 }
 
 // route derives the gateway's handler for one table route from its
-// class. Only ingest and close differ from their class: ingest goes
-// through the forwarding queue, and close flushes it first.
+// class. Only ingest and close differ from their class: both keep the
+// gateway's session list current.
 func (g *Gateway) route(rt *serve.Route) serve.Handler {
 	switch {
 	case rt.Path == "/v1/ingest":
@@ -346,11 +340,13 @@ func relay(w http.ResponseWriter, resp response) {
 	_, _ = w.Write(resp.body)
 }
 
-// handleIngest routes an upload to the owning shard through its
-// forwarding queue: POST /v1/ingest?session=NAME, wire-compatible with
-// locserve's endpoint — clients point at the gateway and change nothing.
+// handleIngest forwards an upload to the owning shard: POST
+// /v1/ingest?session=NAME, wire-compatible with locserve's endpoint —
+// clients point at the gateway and change nothing. Each upload is its
+// own request to the shard, so a slow answer for one session never
+// delays another's.
 //
-//lint:hotpath gateway upload path; runs per POST, body copy plus queue round trip
+//lint:hotpath gateway upload path; runs per POST, body copy plus one shard round trip
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request, session string) {
 	// Buffer the body before taking the routing lock: a slow uploader
 	// must not extend the lock hold (and a rebalance must not wait on
@@ -371,11 +367,12 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request, session s
 	g.known[session] = true
 	g.knownMu.Unlock()
 	g.mForwards.Inc()
-	relay(w, sh.forward(session, body))
+	relay(w, sh.do(http.MethodPost, "/v1/ingest?session="+url.QueryEscape(session), body))
 }
 
-// handleClose proxies a close to the owning shard, after flushing the
-// shard's queue so uploads the gateway already accepted land first.
+// handleClose proxies a close to the owning shard. An upload racing the
+// close resolves on the shard as on a single node: it lands before the
+// close, gets 410, or opens a fresh session.
 func (g *Gateway) handleClose(w http.ResponseWriter, r *http.Request, session string) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -384,7 +381,6 @@ func (g *Gateway) handleClose(w http.ResponseWriter, r *http.Request, session st
 		serve.HTTPError(w, http.StatusServiceUnavailable, "no shards joined")
 		return
 	}
-	sh.waitFlush()
 	resp := sh.do(http.MethodPost, "/v1/close?"+r.URL.RawQuery, nil)
 	if resp.err == nil && resp.status == http.StatusOK && r.URL.Query().Get("state") != "1" {
 		// A plain close retires the session; a state close is a handoff —

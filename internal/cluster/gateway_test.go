@@ -436,7 +436,7 @@ func TestGatewayMetricsMerged(t *testing.T) {
 
 // TestDroppedGatewayIsCollected: nothing outside a gateway keeps it
 // alive once its caller drops it. The finalizer sits on the gateway's
-// HTTP client, which only the gateway and its shard senders reference;
+// HTTP client, which only the gateway and its shard clients reference;
 // the gateway itself is in a cycle with its gauge closures, and Go does
 // not promise to run a finalizer set on an object in a cycle.
 func TestDroppedGatewayIsCollected(t *testing.T) {
@@ -564,5 +564,66 @@ func TestGatewayCloseRoutes(t *testing.T) {
 	}
 	if names := c.gw.knownSessions(); len(names) != 0 {
 		t.Errorf("gateway still tracks %v after close", names)
+	}
+}
+
+// TestGatewayIngestNoHeadOfLine: each upload is its own request to the
+// shard, so a shard that is slow to answer one session's upload does
+// not delay another session's upload to the same shard.
+func TestGatewayIngestNoHeadOfLine(t *testing.T) {
+	stuck := make(chan struct{})
+	release := make(chan struct{})
+	shTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("session") == "stuck" {
+			close(stuck)
+			<-release
+		}
+		serve.WriteJSON(w, struct{}{})
+	}))
+	defer shTS.Close()
+	gw := New(0, 1, nil)
+	gwTS := httptest.NewServer(gw.Handler())
+	defer gwTS.Close()
+	defer gw.CloseShards()
+	// Both servers wait for their open requests on Close, so the stuck
+	// upload is released first, whichever way the test ends.
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	if _, err := gw.AddShard("only", shTS.URL); err != nil {
+		t.Fatal(err)
+	}
+
+	upload := func(session string) <-chan int {
+		done := make(chan int, 1)
+		go func() {
+			resp, err := http.Post(gwTS.URL+"/v1/ingest?session="+session, "application/octet-stream", nil)
+			if err != nil {
+				done <- 0
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			_ = resp.Body.Close()
+			done <- resp.StatusCode
+		}()
+		return done
+	}
+	stuckDone := upload("stuck")
+	select {
+	case <-stuck:
+	case <-time.After(3 * time.Second):
+		t.Fatal("the stuck upload never reached the shard")
+	}
+	select {
+	case code := <-upload("free"):
+		if code != http.StatusOK {
+			t.Errorf("free upload: status %d, want 200", code)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("free upload still blocked behind the stuck one after 3s")
+	}
+	unblock()
+	if code := <-stuckDone; code != http.StatusOK {
+		t.Errorf("stuck upload: status %d after release, want 200", code)
 	}
 }

@@ -282,7 +282,7 @@ func analyzeAbstracted(reg *obs.Registry, stats trace.Stats, res *abstract.Resul
 	}
 	if !opts.SkipPotential {
 		stages = append(stages, pipeline.Stage{Name: pipeline.StagePotential, Run: func() error {
-			a.Potential = optim.EvaluatePotentialParallel(
+			a.Potential = optim.EvaluatePotential(
 				a.Abstraction.Names, a.Abstraction.Addrs, a.Abstraction.Objects,
 				a.Streams(), opts.Cache, opts.Workers)
 			return nil
@@ -324,5 +324,5 @@ func AnalyzePerThread(b *trace.Buffer, opts Options) map[uint8]*Analysis {
 // Attribution computes Figure 8's sweep for this analysis, fanning the
 // per-geometry simulations out over the analysis's worker budget.
 func (a *Analysis) Attribution(cfgs []cache.Config) []optim.AttributionPoint {
-	return optim.AttributionSweepParallel(a.Abstraction.Names, a.Abstraction.Addrs, a.HotMembers(), cfgs, a.opts.Workers)
+	return optim.AttributionSweep(a.Abstraction.Names, a.Abstraction.Addrs, a.HotMembers(), cfgs, a.opts.Workers)
 }

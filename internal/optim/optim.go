@@ -49,14 +49,10 @@ func Attribute(names []uint64, addrs []uint32, hotMembers map[uint64]struct{}, c
 
 // AttributionSweep runs Attribute across a ladder of geometries, producing
 // Figure 8's (miss rate, hot-miss fraction) series sorted by miss rate.
-func AttributionSweep(names []uint64, addrs []uint32, hotMembers map[uint64]struct{}, cfgs []cache.Config) []AttributionPoint {
-	return AttributionSweepParallel(names, addrs, hotMembers, cfgs, 1)
-}
-
-// AttributionSweepParallel runs the sweep's independent simulations on at
-// most workers goroutines. Points are collected in geometry order before
-// the final sort, so the series is identical at any worker count.
-func AttributionSweepParallel(names []uint64, addrs []uint32, hotMembers map[uint64]struct{},
+// The independent simulations run on at most workers goroutines. Points
+// are collected in geometry order before the final sort, so the series
+// is identical at any worker count.
+func AttributionSweep(names []uint64, addrs []uint32, hotMembers map[uint64]struct{},
 	cfgs []cache.Config, workers int) []AttributionPoint {
 	out, _ := parallel.Map(workers, len(cfgs), func(i int) (AttributionPoint, error) {
 		return Attribute(names, addrs, hotMembers, cfgs[i]), nil
@@ -185,19 +181,14 @@ func (p Potential) Normalized() (prefetch, cluster, combined float64) {
 //     cache-resident (§5.4 ignores prefetch-timing misses);
 //   - clustering: the base access order over the stream-ordered remap;
 //   - combined: prefetching over the remap.
-func EvaluatePotential(names []uint64, addrs []uint32, objects map[uint64]*abstract.Object,
-	streams []*hotstream.Stream, cfg cache.Config) Potential {
-	return EvaluatePotentialParallel(names, addrs, objects, streams, cfg, 1)
-}
-
-// EvaluatePotentialParallel is EvaluatePotential with the four cache
-// simulations fanned out over at most workers goroutines. Each
-// simulation owns a private cache and writes a distinct result slot
+//
+// The four cache simulations fan out over at most workers goroutines.
+// Each simulation owns a private cache and writes a distinct result slot
 // while sharing only read-only inputs (the trace arrays, the occurrence
 // index, the clustered addresses), so the result is bit-identical to
 // the sequential path at any worker count. workers <= 1 is exactly the
 // sequential evaluation.
-func EvaluatePotentialParallel(names []uint64, addrs []uint32, objects map[uint64]*abstract.Object,
+func EvaluatePotential(names []uint64, addrs []uint32, objects map[uint64]*abstract.Object,
 	streams []*hotstream.Stream, cfg cache.Config, workers int) Potential {
 
 	// Annotate each position with its occurrence extent (start position

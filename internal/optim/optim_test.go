@@ -54,7 +54,7 @@ func TestAttributeHotMisses(t *testing.T) {
 func TestAttributionSweepSorted(t *testing.T) {
 	names, addrs, _, stream := scatteredWorkload(16, 20, 100)
 	hot := locality.StreamMembers([]*hotstream.Stream{stream})
-	pts := AttributionSweep(names, addrs, hot, cache.SweepConfigs())
+	pts := AttributionSweep(names, addrs, hot, cache.SweepConfigs(), 1)
 	if len(pts) != len(cache.SweepConfigs()) {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -133,7 +133,7 @@ func TestEvaluatePotentialOrdering(t *testing.T) {
 	// must both beat base; combined must be at least as good as
 	// clustering alone here.
 	names, addrs, objects, stream := scatteredWorkload(32, 100, 300)
-	p := EvaluatePotential(names, addrs, objects, []*hotstream.Stream{stream}, cache.FullyAssociative8K)
+	p := EvaluatePotential(names, addrs, objects, []*hotstream.Stream{stream}, cache.FullyAssociative8K, 1)
 	if p.Base <= 0 {
 		t.Fatal("base miss rate must be positive")
 	}
@@ -162,7 +162,7 @@ func TestEvaluatePotentialNoStreams(t *testing.T) {
 		names = append(names, uint64(a))
 		addrs = append(addrs, a)
 	}
-	p := EvaluatePotential(names, addrs, nil, nil, cache.FullyAssociative8K)
+	p := EvaluatePotential(names, addrs, nil, nil, cache.FullyAssociative8K, 1)
 	if p.Prefetch != p.Base || p.Cluster != p.Base || p.Combined != p.Base {
 		t.Errorf("rates differ without streams: %+v", p)
 	}
@@ -219,7 +219,7 @@ func TestPrefetchCoversStreamTail(t *testing.T) {
 	// occurrences: base misses every member each round; prefetching
 	// misses only the head.
 	names, addrs, objects, stream := scatteredWorkload(16, 40, 400)
-	p := EvaluatePotential(names, addrs, objects, []*hotstream.Stream{stream}, cache.FullyAssociative8K)
+	p := EvaluatePotential(names, addrs, objects, []*hotstream.Stream{stream}, cache.FullyAssociative8K, 1)
 	// Base misses ~ (16+400)/416 of refs; prefetch eliminates 15/16 of
 	// stream misses. Just check a sizable gap.
 	if p.Prefetch > p.Base*0.99 {
@@ -228,20 +228,17 @@ func TestPrefetchCoversStreamTail(t *testing.T) {
 }
 
 // TestEvaluatePotentialParallelDeterministic asserts the four-way
-// concurrent evaluation is bit-identical to the sequential path at
-// several worker counts.
+// concurrent evaluation is bit-identical to the sequential (workers=1)
+// path at several worker counts.
 func TestEvaluatePotentialParallelDeterministic(t *testing.T) {
 	names, addrs, objects, stream := scatteredWorkload(32, 60, 250)
 	streams := []*hotstream.Stream{stream}
-	want := EvaluatePotentialParallel(names, addrs, objects, streams, cache.FullyAssociative8K, 1)
+	want := EvaluatePotential(names, addrs, objects, streams, cache.FullyAssociative8K, 1)
 	for _, workers := range []int{2, 4, 8} {
-		got := EvaluatePotentialParallel(names, addrs, objects, streams, cache.FullyAssociative8K, workers)
+		got := EvaluatePotential(names, addrs, objects, streams, cache.FullyAssociative8K, workers)
 		if got != want {
 			t.Errorf("workers=%d: potential %+v != sequential %+v", workers, got, want)
 		}
-	}
-	if seq := EvaluatePotential(names, addrs, objects, streams, cache.FullyAssociative8K); seq != want {
-		t.Errorf("EvaluatePotential %+v != workers=1 %+v", seq, want)
 	}
 }
 
@@ -251,9 +248,9 @@ func TestAttributionSweepParallelDeterministic(t *testing.T) {
 	names, addrs, _, stream := scatteredWorkload(16, 20, 100)
 	hot := locality.StreamMembers([]*hotstream.Stream{stream})
 	cfgs := cache.SweepConfigs()
-	want := AttributionSweepParallel(names, addrs, hot, cfgs, 1)
+	want := AttributionSweep(names, addrs, hot, cfgs, 1)
 	for _, workers := range []int{3, 16} {
-		got := AttributionSweepParallel(names, addrs, hot, cfgs, workers)
+		got := AttributionSweep(names, addrs, hot, cfgs, workers)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(want))
 		}

@@ -16,7 +16,7 @@ import (
 )
 
 // TestMetricNamesStable is the regression gate on the service's metric
-// namespace: dashboards and the serve-smoke script address metrics by
+// namespace: dashboards and the cluster-smoke script address metrics by
 // these exact names, so renaming one is a breaking change that must
 // show up in review as an edit to this list.
 func TestMetricNamesStable(t *testing.T) {

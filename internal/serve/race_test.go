@@ -111,9 +111,10 @@ func TestCloseVsIngestRace(t *testing.T) {
 // TestSlowClientDoesNotBlockStatus pins the head-of-line-blocking fix:
 // the old handler held sess.mu across the upload's network reads, so
 // one stalled client wedged /v1/sessions and the locserve.rules gauge
-// behind the lock. The rebuilt path holds no lock while reading the
-// body, so status endpoints must answer while an upload sits stalled
-// mid-record.
+// behind the lock. The handler takes sess.mu only to ingest each
+// decoded buffer, never across a body read, so status endpoints and the
+// stalled session's own snapshot must answer while the upload sits
+// stalled mid-record.
 func TestSlowClientDoesNotBlockStatus(t *testing.T) {
 	ts := httptest.NewServer(New(online.Options{}, 1, nil).Handler())
 	defer ts.Close()
@@ -145,7 +146,7 @@ func TestSlowClientDoesNotBlockStatus(t *testing.T) {
 	// blocked until the uploader finished).
 	answered := make(chan struct{})
 	go func() {
-		for _, path := range []string{"/v1/sessions", "/debug/vars"} {
+		for _, path := range []string{"/v1/sessions", "/debug/vars", "/v1/snapshot?session=slow", "/v1/metrics"} {
 			if code, body := get(t, ts.URL+path); code != http.StatusOK {
 				t.Errorf("%s during stalled upload: status %d: %s", path, code, body)
 			}

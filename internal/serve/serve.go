@@ -26,39 +26,28 @@ import (
 	"repro/internal/trace"
 )
 
-// Ingest batching parameters: each upload is decoded into batches of
-// batchLen events and fed to the session's engine goroutine through a
-// queue of queueDepth batches. The bounded queue is the backpressure
-// mechanism — a client that uploads faster than the engine ingests
-// blocks in its own handler, never in anyone else's.
+// Uploads are decoded into buffers of ingestBufLen events; each full
+// buffer is ingested under the session lock, so snapshots and status
+// reads interleave with an upload at buffer granularity. Buffers are
+// recycled through a server-wide free list that keeps at most
+// freeBufs of them.
 const (
-	batchLen   = 4096
-	queueDepth = 8
+	ingestBufLen = 4096
+	freeBufs     = 16
 )
 
-// ingestBatch is one unit of decoded upload: a chunk of events, or (when
-// flush is non-nil) a barrier marker the engine loop acknowledges by
-// closing the channel, so a handler can wait for its batches to land.
-type ingestBatch struct {
-	events []trace.Event
-	n      int
-	flush  chan struct{}
-}
-
-// newBatch allocates a batch buffer.
+// newIngestBuf allocates a decode buffer.
 //
-//lint:coldpath batch-buffer allocation; runs only until the per-session recycling pool warms up, never per record in steady state
-func newBatch() *ingestBatch {
-	return &ingestBatch{events: make([]trace.Event, batchLen)}
+//lint:coldpath decode-buffer allocation; runs only until the server's free list warms up, never per record in steady state
+func newIngestBuf() []trace.Event {
+	return make([]trace.Event, ingestBufLen)
 }
 
 // session is one ingest stream's analysis state. The engine is
-// single-threaded by design: every mutation runs on the session's own
-// ingest-loop goroutine (fed through the bounded batch queue) or under
-// sess.mu (snapshots, status reads — the loop takes the mutex per
-// batch). HTTP handlers decode uploads and enqueue without ever holding
-// a lock across a network read, so one slow uploader cannot stall
-// status endpoints or other clients.
+// single-threaded by design: every engine call runs under sess.mu.
+// The ingest handler reads and decodes the request body with no lock
+// held and takes sess.mu only to ingest each decoded buffer, so one slow
+// uploader cannot stall status endpoints or other clients.
 type session struct {
 	mu     sync.Mutex
 	name   string
@@ -69,20 +58,14 @@ type session struct {
 	// appending records into an orphaned engine.
 	closed bool
 	// lastEvictions tracks the engine's cumulative eviction count at the
-	// end of the previous batch, so the server's counter sees deltas.
+	// end of the previous buffer, so the server's counter sees deltas.
 	lastEvictions uint64
 	// evictions and snapshots are the owning server's counters.
 	evictions, snapshots *obs.Counter
 
-	// queue feeds decoded batches to the ingest loop; free recycles
-	// their buffers back to decoding handlers.
-	queue chan *ingestBatch
-	free  chan *ingestBatch
 	// ingestWG counts in-flight ingest requests admitted past the closed
-	// check; loopWG tracks the ingest-loop goroutine. closeSession waits
-	// on both (in that order) before snapshotting.
+	// check; closeSession waits on it before snapshotting.
 	ingestWG sync.WaitGroup
-	loopWG   sync.WaitGroup
 }
 
 // markClosed flips the session's closed flag under the lock: after it
@@ -108,101 +91,44 @@ func (sess *session) beginIngest() bool {
 	return true
 }
 
-// getBatch returns a recycled batch buffer, allocating only while the
-// pool is cold.
-func (sess *session) getBatch() *ingestBatch {
-	select {
-	case b := <-sess.free:
-		return b
-	default:
-		return newBatch()
-	}
-}
-
-// putBatch recycles a batch buffer, dropping it if the pool is full.
-func (sess *session) putBatch(b *ingestBatch) {
-	b.n = 0
-	select {
-	case sess.free <- b:
-	default:
-	}
-}
-
-// waitFlush enqueues a barrier and waits for the ingest loop to reach
-// it: every batch enqueued before the call has been ingested when it
-// returns, so the handler's status response is exact.
-//
-//lint:coldpath request completion barrier; runs once per POST, after the decode loop has drained
-func (sess *session) waitFlush() {
-	flush := make(chan struct{})
-	sess.queue <- &ingestBatch{flush: flush}
-	<-flush
-}
-
-// ingestBody decodes one upload straight off the request body into
-// batches and feeds them to the session's ingest loop. It returns the
-// number of events decoded and the first decode error; decoded events
-// are ingested (and flushed) even when the tail of the upload is
-// corrupt. No lock is held anywhere in this function — the network
-// reads, the decode, and the (possibly blocking, backpressured) queue
-// sends all run lock-free.
+// ingestBody decodes one upload straight off the request body, one
+// buffer at a time, and ingests each buffer into the session's engine.
+// It returns the number of events decoded and the first decode error;
+// decoded events are ingested even when the tail of the upload is
+// corrupt. The network reads and the decode run with no lock held;
+// sess.mu covers only each buffer's Ingest, so uploads to one session
+// append in the order their buffers are decoded.
 //
 //lint:hotpath serves the live upload stream; runs per POST with the decode loop inside
-func (sess *session) ingestBody(tr *trace.Reader) (uint64, error) {
+func (sess *session) ingestBody(tr *trace.Reader, buf []trace.Event) (uint64, error) {
 	var total uint64
-	var derr error
 	for {
-		b := sess.getBatch()
-		m, err := tr.ReadChunk(b.events)
+		m, err := tr.ReadChunk(buf)
 		if m > 0 {
-			b.n = m
 			total += uint64(m)
-			sess.queue <- b
-		} else {
-			sess.putBatch(b)
+			sess.mu.Lock()
+			sess.engine.Ingest(buf[:m])
+			ev := sess.engine.Evictions()
+			delta := ev - sess.lastEvictions
+			sess.lastEvictions = ev
+			sess.mu.Unlock()
+			sess.evictions.Add(delta)
 		}
-		if err != nil {
-			if err != io.EOF {
-				derr = err
-			}
+		if err == io.EOF {
 			break
 		}
-	}
-	sess.waitFlush()
-	if derr == nil {
-		// Grammar growth failures (arena symbol-space exhaustion) are
-		// latched inside the engine because the per-reference append
-		// path cannot return them; report the first one like any other
-		// ingest error, with the decoded count alongside.
-		sess.mu.Lock()
-		derr = sess.engine.Err()
-		sess.mu.Unlock()
-	}
-	return total, derr
-}
-
-// ingestLoop is the session's engine goroutine: the only place engine
-// mutations happen, one batch at a time in arrival order. It takes
-// sess.mu per batch (so snapshots and status reads interleave at batch
-// granularity) and never blocks while holding it. The loop exits when
-// closeSession closes the queue after draining in-flight uploads.
-//
-//lint:hotpath per-batch engine loop; every uploaded record flows through here
-func (sess *session) ingestLoop() {
-	for b := range sess.queue {
-		if b.flush != nil {
-			close(b.flush)
-			continue
+		if err != nil {
+			return total, err
 		}
-		sess.mu.Lock()
-		sess.engine.Ingest(b.events[:b.n])
-		ev := sess.engine.Evictions()
-		delta := ev - sess.lastEvictions
-		sess.lastEvictions = ev
-		sess.mu.Unlock()
-		sess.evictions.Add(delta)
-		sess.putBatch(b)
 	}
+	// Grammar growth failures (arena symbol-space exhaustion) are
+	// latched inside the engine because the per-reference append path
+	// cannot return them; report the first one like any other ingest
+	// error, with the decoded count alongside.
+	sess.mu.Lock()
+	err := sess.engine.Err()
+	sess.mu.Unlock()
+	return total, err
 }
 
 // Server is the locality service: a registry of per-session online
@@ -215,6 +141,9 @@ type Server struct {
 
 	// The service counters, in opts.Obs.
 	mSessions, mRecords, mEvictions, mSnapshots *obs.Counter
+
+	// bufs is the free list of decode buffers shared by every upload.
+	bufs chan []trace.Event
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -244,6 +173,7 @@ func New(opts online.Options, workers int, st *store.Store) *Server {
 		mRecords:   reg.Counter("locserve.records"),
 		mEvictions: reg.Counter("locserve.evictions"),
 		mSnapshots: reg.Counter("locserve.snapshots"),
+		bufs:       make(chan []trace.Event, freeBufs),
 		sessions:   make(map[string]*session),
 	}
 	reg.GaugeFunc("locserve.rules", s.totalRules)
@@ -336,14 +266,7 @@ func (s *Server) newSession(name string, engine *online.Engine) *session {
 		engine:    engine,
 		evictions: s.mEvictions,
 		snapshots: s.mSnapshots,
-		queue:     make(chan *ingestBatch, queueDepth),
-		free:      make(chan *ingestBatch, queueDepth+2),
 	}
-	sess.loopWG.Add(1)
-	go func() {
-		defer sess.loopWG.Done()
-		sess.ingestLoop()
-	}()
 	s.sessions[name] = sess
 	s.mSessions.Add(1)
 	return sess
@@ -417,7 +340,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, name strin
 	}
 	defer sess.ingestWG.Done()
 
-	n, err := sess.ingestBody(trace.NewReaderObs(r.Body, s.opts.Obs))
+	var buf []trace.Event
+	select {
+	case buf = <-s.bufs:
+	default:
+		buf = newIngestBuf()
+	}
+	n, err := sess.ingestBody(trace.NewReaderObs(r.Body, s.opts.Obs), buf)
+	select {
+	case s.bufs <- buf:
+	default:
+	}
 	s.mRecords.Add(n)
 	sess.mu.Lock()
 	status := sess.statusLocked()
@@ -560,13 +493,11 @@ func (s *Server) closeSession(name string, handoff bool) (CloseResult, bool, err
 		return CloseResult{}, false, nil
 	}
 	sess.markClosed()
-	// Drain, holding no lock across the waits: admitted uploads finish
-	// (each ends with an acknowledged flush barrier, so their batches are
-	// ingested), then the engine loop exits. beginIngest cannot re-admit:
-	// it checks closed under mu, and closed was set under mu above.
+	// Drain, holding no lock across the wait: admitted uploads finish,
+	// and each has ingested its records before it returns. beginIngest
+	// cannot re-admit: it checks closed under mu, and closed was set
+	// under mu above.
 	sess.ingestWG.Wait()
-	close(sess.queue)
-	sess.loopWG.Wait()
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()

@@ -9,7 +9,8 @@
 # batch analysis of the full trace. The zero-drift rebalance guarantee,
 # checked from the shell the way CI exercises it. The gateway also runs
 # its shard health prober (-probe), and every remaining shard must end
-# up stamped healthy in /v1/shards.
+# up stamped healthy in /v1/shards. One upload is paced (tracegen -rate),
+# and the merged locserve.rules gauge must read above zero.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -72,9 +73,12 @@ wait_up "http://$addr_c/v1/sessions"
 wait_up "http://$gw/v1/shards"
 
 # Stream every session through the gateway. Retries ride out transient
-# forwarding hiccups the way a real instrumented process would.
+# forwarding hiccups the way a real instrumented process would. smoke0
+# is paced (-rate), so the real binaries exercise tracegen's pacing path.
 for i in 0 1 2 3 4 5; do
-  "$tmp/tracegen" -stream -in "$tmp/smoke$i.trace" -retries 5 -retry-backoff 200ms \
+  rate=0 # unthrottled
+  [ "$i" -eq 0 ] && rate=500000
+  "$tmp/tracegen" -stream -in "$tmp/smoke$i.trace" -rate "$rate" -retries 5 -retry-backoff 200ms \
     -url "http://$gw/v1/ingest?session=smoke$i" >/dev/null
 done
 
@@ -147,13 +151,16 @@ for i in 0 1 2 3 4 5; do
 done
 
 # Merged metrics expose shard counters under their stable names next to
-# the gateway's own.
+# the gateway's own, and the shards' rules gauge reads their live
+# grammars.
 metrics=$(curl -sf "http://$gw/v1/metrics")
 for name in '"locserve.records"' '"locgate.forwards"' '"locgate.rebalances"'; do
   case "$metrics" in *$name*) ;; *)
     echo "cluster-smoke: merged metrics missing $name" >&2; exit 1;;
   esac
 done
+rules=$(printf '%s' "$metrics" | grep -o '"locserve.rules": *[0-9]*' | grep -o '[0-9]*$' || echo 0)
+[ "${rules:-0}" -gt 0 ] || { echo "cluster-smoke: merged locserve.rules reads ${rules:-0}, want > 0" >&2; exit 1; }
 
 # The health prober (running every 200ms) has stamped every remaining
 # shard, and none of them healthy: false.
@@ -171,4 +178,4 @@ case "$shards_json" in *'"healthy": false'*)
   exit 1;;
 esac
 
-echo "cluster-smoke: OK (6 sessions across 3 shards, shard killed mid-run, rebalanced snapshots locdiff-clean, shards probed healthy)"
+echo "cluster-smoke: OK (6 sessions across 3 shards, one paced, shard killed mid-run, rebalanced snapshots locdiff-clean, locserve.rules=$rules, shards probed healthy)"
