@@ -102,15 +102,17 @@ FUZZ_TARGETS = \
 	online:FuzzReadStatsAccum \
 	hotstream:FuzzDetect \
 	locality:FuzzPackingEfficiency \
+	fleet:FuzzSeqSimilarity \
 	serve:FuzzMergeFingerprints \
 	store:FuzzStoreManifest
 
 # run-fuzz runs every target in FUZZ_TARGETS for $(1), stopping at the
-# first failure.
+# first failure. -run keeps go test from running the package's other
+# tests before each target; the test and race steps run those.
 define run-fuzz
 	@set -e; for t in $(FUZZ_TARGETS); do \
-		echo "$(GO) test -fuzz=$${t#*:} -fuzztime=$(1) ./internal/$${t%%:*}/"; \
-		$(GO) test -fuzz=$${t#*:} -fuzztime=$(1) ./internal/$${t%%:*}/; \
+		echo "$(GO) test -run=^$${t#*:}\$$ -fuzz=$${t#*:} -fuzztime=$(1) ./internal/$${t%%:*}/"; \
+		$(GO) test -run='^'$${t#*:}'$$' -fuzz=$${t#*:} -fuzztime=$(1) ./internal/$${t%%:*}/; \
 	done
 endef
 

@@ -43,13 +43,17 @@ type Stream struct {
 // Key renders the abstracted sequence for set comparison (8 bytes per
 // symbol, the internal/regress technique).
 func Key(seq []uint64) string {
-	b := make([]byte, 0, len(seq)*8)
+	return string(appendKey(make([]byte, 0, len(seq)*8), seq))
+}
+
+// appendKey appends seq's key bytes to b.
+func appendKey(b []byte, seq []uint64) []byte {
 	for _, v := range seq {
 		b = append(b,
 			byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 	}
-	return string(b)
+	return b
 }
 
 // Fingerprint is a session's compact locality signature: its hot

@@ -1,0 +1,7 @@
+//go:build !race
+
+package fleet
+
+// raceEnabled reports whether the race detector instruments this test
+// binary.
+const raceEnabled = false
