@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-smoke bench-pipeline bench-ingest repro csv lint lint-baseline race sanitize cluster-smoke locbench-check locdiff-smoke obs-smoke fuzz fuzz-smoke cover clean
+.PHONY: all build test bench bench-smoke bench-pipeline bench-ingest repro csv lint lint-baseline race sanitize cluster-smoke locbench-check locdiff-smoke fuzz fuzz-smoke cover clean
 
 all: build test lint
 
@@ -74,11 +74,6 @@ locbench-check:
 # a perturbed workload seed must trip the gates with a non-zero exit.
 locdiff-smoke:
 	./scripts/locdiff-smoke.sh
-
-# Observability smoke: locstats -stage-timing over both entry points;
-# fails if any registered pipeline stage reports zero samples.
-obs-smoke:
-	./scripts/obs-smoke.sh
 
 # Measure obs-on vs obs-off ingest/snapshot throughput and regenerate
 # BENCH_pipeline.json; fails if overhead exceeds the 2% budget.

@@ -184,10 +184,15 @@ func (s *Streamer) Excluded() (stackRefs, unknownRefs uint64) {
 	return s.st.res.StackRefs, s.st.res.UnknownRefs
 }
 
-// objChunkLen is the Object slab chunk size: heap-map entries are handed
-// out as pointers into fixed-size chunks, so pointer identity is stable
-// while allocation cost amortizes to one chunk per objChunkLen objects.
-const objChunkLen = 1024
+// Object slab chunks: heap-map entries are handed out as pointers into
+// chunks that never move, so pointer identity is stable. Chunks start at
+// objChunkFirst objects and double per chunk up to objChunkLen, so a
+// stream with few objects holds a small slab while allocation cost
+// amortizes to one chunk per objChunkLen objects on a large one.
+const (
+	objChunkFirst = 64
+	objChunkLen   = 1024
+)
 
 // state carries the online abstraction machinery over one event stream.
 // It was formerly a bundle of closures; the flat struct-plus-methods
@@ -239,11 +244,12 @@ func (a *Abstractor) newState(hint int) *state {
 	}
 }
 
-// grow replaces the exhausted Object slab chunk.
+// grow replaces the exhausted Object slab chunk with one twice its
+// size, capped at objChunkLen.
 //
-//lint:coldpath amortized slab growth; runs once per objChunkLen objects, never per record
+//lint:coldpath amortized slab growth; runs log₂(objChunkLen/objChunkFirst) times, then once per objChunkLen objects, never per record
 func (st *state) grow() {
-	st.objChunk = make([]Object, 0, objChunkLen)
+	st.objChunk = make([]Object, 0, min(max(2*cap(st.objChunk), objChunkFirst), objChunkLen))
 }
 
 // newObject hands out a zero Object from the slab.

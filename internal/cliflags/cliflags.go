@@ -188,8 +188,8 @@ func ObsFlags(fs *flag.FlagSet) *Obs {
 // Setup opts the process into observability when requested: the default
 // registry is enabled and every canonical batch stage is preregistered,
 // so a stage that never runs shows up as a zero-sample row in the
-// report (the obs-smoke contract). skipPotential mirrors the driver's
-// own setting so the potential row is only expected when it will run.
+// report. skipPotential mirrors the command's own setting so the
+// potential row is only expected when it will run.
 func (o *Obs) Setup(skipPotential bool) {
 	if !o.StageTiming {
 		return

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/abstract"
 	"repro/internal/cache"
+	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -19,6 +21,20 @@ func analyze(t *testing.T, bench string, n int, opts Options) *Analysis {
 		t.Fatal(err)
 	}
 	return Analyze(b, opts)
+}
+
+// encodeTrace returns b in the binary record format.
+func encodeTrace(t *testing.T, b *trace.Buffer) []byte {
+	t.Helper()
+	var enc bytes.Buffer
+	w := trace.NewWriter(&enc)
+	if err := w.WriteAll(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return enc.Bytes()
 }
 
 func TestAnalyzeEndToEnd(t *testing.T) {
@@ -259,16 +275,9 @@ func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var enc bytes.Buffer
-	w := trace.NewWriter(&enc)
-	if err := w.WriteAll(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	enc := encodeTrace(t, b)
 	want := comparableOf(Analyze(b, Options{Workers: 1}))
-	got, err := AnalyzeStream(trace.NewReader(&enc), Options{Workers: 4})
+	got, err := AnalyzeStream(trace.NewReader(bytes.NewReader(enc)), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,6 +312,48 @@ func TestAnalyzePerThreadWorkersDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(comparableOf(pa), comparableOf(a)) {
 			t.Errorf("thread %d: parallel analysis differs", th)
+		}
+	}
+}
+
+// TestEveryStageReportsSamples: both batch entry points run every
+// pipeline stage through the shared runner, so each stage's timer in
+// the run's registry holds at least one sample. A stage that silently
+// stops executing, or an entry point that stops routing through the
+// runner, leaves its row at zero (or missing) in `-stage-timing`.
+func TestEveryStageReportsSamples(t *testing.T) {
+	b, err := workload.Generate("boxsim", 30_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := encodeTrace(t, b)
+	stages := []string{
+		pipeline.StageStats, pipeline.StageAbstract, pipeline.StageSkew,
+		pipeline.StageSequitur, pipeline.StageThreshold, pipeline.StageDetect,
+		pipeline.StageMeasure, pipeline.StageSummary, pipeline.StagePotential,
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(reg *obs.Registry) error
+	}{
+		{"Analyze", func(reg *obs.Registry) error {
+			Analyze(b, Options{Obs: reg})
+			return nil
+		}},
+		{"AnalyzeStream", func(reg *obs.Registry) error {
+			_, err := AnalyzeStream(trace.NewReader(bytes.NewReader(enc)), Options{Obs: reg})
+			return err
+		}},
+	} {
+		reg := obs.New()
+		if err := tc.run(reg); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		timers := reg.Snapshot().Timers
+		for _, s := range stages {
+			if n := timers[pipeline.StageTimerName(s)].Count; n == 0 {
+				t.Errorf("%s: stage %q reports no samples", tc.name, s)
+			}
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 // and the stage-timing report see one consistent namespace. A metric
 // registered directly with expvar.New* or expvar.Publish bypasses the
 // registry — it never appears in structured snapshots, cannot be
-// preregistered for the obs-smoke zero-sample check, and reintroduces the
-// hand-rolled drift this layer replaced. Reading expvar (expvar.Get,
+// preregistered for the stage-timing zero-sample rows, and reintroduces
+// the hand-rolled drift this layer replaced. Reading expvar (expvar.Get,
 // expvar.Handler, expvar.Do) stays legal; registration is legal nowhere,
 // internal/obs included.
 var ObsCheck = &Analyzer{

@@ -10,9 +10,9 @@ import (
 // WriteStageTable renders the per-stage timing table: every timer under
 // StagePrefix, sorted by name, with sample count, total, p50, and p99.
 // It is the payload of `locstats -stage-timing` and `repro
-// -stage-timing`; the obs-smoke script parses it and fails the build if
-// any registered stage reports zero samples, so a driver that silently
-// stops routing a phase through the stage runner is caught in CI.
+// -stage-timing`. A preregistered stage that never ran shows as a
+// zero-sample row, so a command that silently stops routing a phase
+// through the stage runner is visible here.
 func WriteStageTable(w io.Writer, r *Registry) error {
 	snap := r.Snapshot()
 	names := make([]string, 0, len(snap.Timers))

@@ -220,7 +220,7 @@ func TestWriteStageTable(t *testing.T) {
 	if strings.Contains(out, "not.a.stage") {
 		t.Fatalf("table leaked non-stage timer:\n%s", out)
 	}
-	// The zero-sample stage must be visible as such (obs-smoke greps it).
+	// The zero-sample stage must be visible as such.
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "sequitur") && !strings.Contains(line, " 0 ") {
 			t.Fatalf("zero-sample stage not reported as 0:\n%s", out)

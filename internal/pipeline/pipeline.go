@@ -59,7 +59,7 @@ func StageTimerName(stage string) string { return obs.StagePrefix + stage }
 // BatchStages returns the canonical stage-name sequence of a batch
 // analysis (core.Analyze / core.AnalyzeStream): the list drivers
 // pre-register so a stage that silently stops executing shows up as a
-// zero-sample row in the timing table (the obs-smoke CI check).
+// zero-sample row in the timing table.
 func BatchStages(skipPotential bool) []string {
 	s := []string{
 		StageStats, StageAbstract, StageSkew,
@@ -125,8 +125,7 @@ func runStage(reg *obs.Registry, s Stage) error {
 }
 
 // Preregister creates the timer for every named stage up front so the
-// timing table (and the obs-smoke zero-sample check) sees phases that
-// never ran. No-op without a registry.
+// timing table sees phases that never ran. No-op without a registry.
 func Preregister(reg *obs.Registry, stages []string) {
 	for _, s := range stages {
 		reg.Timer(StageTimerName(s))

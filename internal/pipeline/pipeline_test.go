@@ -64,8 +64,9 @@ func TestRunStopsOnError(t *testing.T) {
 	}
 }
 
-// TestStageSequences pins the canonical stage lists: obs-smoke and the
-// README metric reference both assume these exact names.
+// TestStageSequences pins the canonical stage lists: core's
+// TestEveryStageReportsSamples and the README metric reference both
+// assume these exact names.
 func TestStageSequences(t *testing.T) {
 	want := []string{"stats", "abstract", "skew", "sequitur", "threshold", "detect", "measure", "summary", "potential"}
 	got := BatchStages(false)

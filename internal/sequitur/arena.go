@@ -59,11 +59,11 @@ type ruleID uint32
 
 const nilRule ruleID = 0
 
-// symInitLen is the arena's starting slice length: 4096 symbols × 24
-// bytes = 96 KiB, large enough that typical grammars pay only a handful
-// of doublings, small enough that a short-lived grammar does not strand
-// much memory.
-const symInitLen = 1 << 12
+// symInitLen is the arena's starting slice length: 256 symbols × 24
+// bytes = 6 KiB, so an empty grammar (one per live session in a server)
+// costs kilobytes. The slice doubles as the grammar grows, one copy per
+// doubling.
+const symInitLen = 1 << 8
 
 // symbolCap is the arena's default handle-space bound. It sits a slack
 // band below 1<<32 so Append's single up-front guard (symHigh >=
@@ -86,14 +86,15 @@ func (e *SymbolLimitError) Error() string {
 	return fmt.Sprintf("sequitur: symbol arena full: grammar reached its %d-symbol handle space", e.Limit)
 }
 
-// ruleChunkLen is the rule slab chunk size; rules are ~100× rarer than
-// symbols.
-const ruleChunkLen = 1024
-
-type ruleChunk struct {
-	rules [ruleChunkLen]Rule
-	used  int
-}
+// Rule slab chunks start at ruleChunkFirst rules and double per chunk
+// up to ruleChunkLen, so a small grammar holds a small slab while a
+// large one still pays one allocation per ruleChunkLen rules (rules are
+// ~100× rarer than symbols). Chunks never move, so *Rule pointers stay
+// valid for the rule's lifetime.
+const (
+	ruleChunkFirst = 64
+	ruleChunkLen   = 1024
+)
 
 // arena is the grammar's allocator state.
 type arena struct {
@@ -103,10 +104,10 @@ type arena struct {
 	freeSym symID    // free-list head threaded through symbol.next
 	nFree   uint32   // free-list length
 
-	ruleSlots  []*Rule // handle -> live rule; slot 0 reserved
-	freeSlots  []ruleID
-	ruleChunks []*ruleChunk
-	freeRules  []*Rule
+	ruleSlots []*Rule // handle -> live rule; slot 0 reserved
+	freeSlots []ruleID
+	ruleChunk []Rule // current rule slab chunk; fresh rules are carved from its spare capacity
+	freeRules []*Rule
 }
 
 // init prepares an empty arena. Called once per grammar.
@@ -189,13 +190,14 @@ func (a *arena) freeSymbol(si symID) {
 	a.nFree++
 }
 
-// growRules adds a fresh rule chunk.
+// growRules replaces the exhausted rule chunk with one twice its size,
+// capped at ruleChunkLen. The old chunk stays where it is: its rules are
+// still reachable through the slot table and the free list.
 //
-//lint:coldpath amortized slab growth; runs once per ruleChunkLen rule allocations, never per record
-func (a *arena) growRules() *ruleChunk {
-	c := &ruleChunk{}
-	a.ruleChunks = append(a.ruleChunks, c)
-	return c
+//lint:coldpath amortized slab growth; runs log₂(ruleChunkLen/ruleChunkFirst) times, then once per ruleChunkLen rule allocations, never per record
+func (a *arena) growRules() {
+	n := min(max(2*cap(a.ruleChunk), ruleChunkFirst), ruleChunkLen)
+	a.ruleChunk = make([]Rule, 0, n)
 }
 
 // growFreeRules grows the rule free list's backing slice.
@@ -227,15 +229,11 @@ func (a *arena) allocRule() *Rule {
 		r = a.freeRules[n-1]
 		a.freeRules = a.freeRules[:n-1]
 	} else {
-		var c *ruleChunk
-		if n := len(a.ruleChunks); n > 0 {
-			c = a.ruleChunks[n-1]
+		if len(a.ruleChunk) == cap(a.ruleChunk) {
+			a.growRules()
 		}
-		if c == nil || c.used == ruleChunkLen {
-			c = a.growRules()
-		}
-		r = &c.rules[c.used]
-		c.used++
+		a.ruleChunk = a.ruleChunk[:len(a.ruleChunk)+1]
+		r = &a.ruleChunk[len(a.ruleChunk)-1]
 	}
 	if n := len(a.freeSlots); n > 0 {
 		r.self = a.freeSlots[n-1]

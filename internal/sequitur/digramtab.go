@@ -72,8 +72,15 @@ type digramTable struct {
 	where []uint32
 }
 
+// digramInitHint is the entry count a fresh grammar's table is sized
+// for: 256 slots (6 KiB plus a 1 KiB reverse index), so an empty
+// session stays small. The table doubles as entries arrive.
+const digramInitHint = 1 << 7
+
 // init sizes the table to hold hint entries without growing. Capacity is
-// the next power of two at least 2× the hint (load factor 1/2).
+// the next power of two at least 2× the hint (load factor 1/2). A fresh
+// grammar passes digramInitHint; a restored one passes its symbol count,
+// which bounds its entry count.
 //
 //lint:coldpath table construction; runs once per grammar
 func (t *digramTable) init(hint int) {

@@ -159,7 +159,7 @@ func NewWithOptions(opts Options) *Grammar {
 	}
 	g := &Grammar{opts: opts}
 	g.arena.init()
-	g.digrams.init(1 << 10)
+	g.digrams.init(digramInitHint)
 	if opts.MinRuleOccurrences > 2 {
 		g.pending = make(map[digram]int)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -528,5 +529,42 @@ func TestCloseSnapshotsOnlyIntoStore(t *testing.T) {
 			t.Errorf("%s: close computed %d snapshots, want %d", tc.name, got, tc.want)
 		}
 		ts.Close()
+	}
+}
+
+// TestEmptySessionsRetainLittle: opening a session costs kilobytes, not
+// the engine's eventual size. 256 empty uploads to distinct names open
+// 256 sessions, which together must retain at most 8 MiB.
+func TestEmptySessionsRetainLittle(t *testing.T) {
+	const n, ceiling = 256, 8 << 20
+	srv := New(online.Options{}, 1, nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	// Warm the client's connection so its buffers are not counted.
+	if code, body := get(t, ts.URL+"/v1/sessions"); code != http.StatusOK {
+		t.Fatalf("sessions: status %d: %s", code, body)
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	for i := 0; i < n; i++ {
+		if code, body := post(t, fmt.Sprintf("%s/v1/ingest?session=e%d", ts.URL, i), nil); code != http.StatusOK {
+			t.Fatalf("ingest e%d: status %d: %s", i, code, body)
+		}
+	}
+	after := live()
+	runtime.KeepAlive(srv)
+	if got := counter(t, ts.URL, "locserve.sessions"); got != n {
+		t.Fatalf("%d sessions open, want %d", got, n)
+	}
+	retained := int64(after - before)
+	t.Logf("%d empty sessions retain %.2f MiB (%.1f KiB each)", n, float64(retained)/(1<<20), float64(retained)/n/1024)
+	if retained > ceiling {
+		t.Errorf("%d empty sessions retain %d bytes, want at most %d", n, retained, ceiling)
 	}
 }

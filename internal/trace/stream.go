@@ -26,13 +26,21 @@ type StatsAccum struct {
 	pcs   u32set
 }
 
+// The accumulator's sets start at 512 address and 128 PC slots (2.5 KiB
+// together), so an idle session costs kilobytes, and double as keys
+// arrive.
+const (
+	addrSetInitHint = 1 << 8
+	pcSetInitHint   = 1 << 6
+)
+
 // NewStatsAccum returns an empty accumulator.
 //
 //lint:coldpath accumulator construction; runs once per session or pass
 func NewStatsAccum() *StatsAccum {
 	a := &StatsAccum{}
-	a.addrs.initSet(1 << 14)
-	a.pcs.initSet(1 << 10)
+	a.addrs.initSet(addrSetInitHint)
+	a.pcs.initSet(pcSetInitHint)
 	return a
 }
 
