@@ -156,7 +156,7 @@ func BenchmarkHotStreamAnalysis(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		streams := hotstream.Detect(d, cfg)
-		hotstream.Measure(hotstream.SliceSource(res.Names), streams, cfg, 0, false)
+		hotstream.Measure(res.Names, streams, cfg, 0, false)
 	}
 }
 
@@ -244,8 +244,8 @@ func BenchmarkAblationMaxStreamLen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c20 := hotstream.Config{MinLen: 2, MaxLen: 20, Heat: uint64(unit)}
 		c100 := hotstream.Config{MinLen: 2, MaxLen: 100, Heat: uint64(unit)}
-		at20 = len(hotstream.Measure(hotstream.SliceSource(res.Names), hotstream.Detect(d, c20), c20, 0, false).Streams)
-		at100 = len(hotstream.Measure(hotstream.SliceSource(res.Names), hotstream.Detect(d, c100), c100, 0, false).Streams)
+		at20 = len(hotstream.Measure(res.Names, hotstream.Detect(d, c20), c20, 0, false).Streams)
+		at100 = len(hotstream.Measure(res.Names, hotstream.Detect(d, c100), c100, 0, false).Streams)
 	}
 	b.ReportMetric(float64(at20), "streams@len20")
 	b.ReportMetric(float64(at100), "streams@len100")

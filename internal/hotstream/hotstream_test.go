@@ -33,7 +33,7 @@ const figure2Seq2 = "abcabcdefabcgabcfabcdabc"
 
 func TestPaperFigure2Metrics(t *testing.T) {
 	abc := &Stream{Seq: sym("abc")}
-	m := Measure(SliceSource(sym(figure2Seq2)), []*Stream{abc}, DefaultConfig(1), 0, false)
+	m := Measure(sym(figure2Seq2), []*Stream{abc}, DefaultConfig(1), 0, false)
 	if len(m.Streams) != 1 {
 		t.Fatalf("streams = %d, want 1", len(m.Streams))
 	}
@@ -125,7 +125,7 @@ func TestMeasureIndependentCounting(t *testing.T) {
 	// "abcabc"; coverage is the union of spans, not double counted.
 	ab := &Stream{Seq: sym("ab")}
 	abc := &Stream{Seq: sym("abc")}
-	m := Measure(SliceSource(sym("abcabc")), []*Stream{ab, abc}, DefaultConfig(1), 0, false)
+	m := Measure(sym("abcabc"), []*Stream{ab, abc}, DefaultConfig(1), 0, false)
 	if len(m.Streams) != 2 {
 		t.Fatalf("streams = %v", streamSeqs(m.Streams))
 	}
@@ -145,7 +145,7 @@ func TestMeasureFigure2AllSubsequences(t *testing.T) {
 	ab := &Stream{Seq: sym("ab")}
 	bc := &Stream{Seq: sym("bc")}
 	abc := &Stream{Seq: sym("abc")}
-	m := Measure(SliceSource(sym(figure2Seq2)), []*Stream{ab, bc, abc}, DefaultConfig(1), 0, false)
+	m := Measure(sym(figure2Seq2), []*Stream{ab, bc, abc}, DefaultConfig(1), 0, false)
 	if len(m.Streams) != 3 {
 		t.Fatalf("streams = %v", streamSeqs(m.Streams))
 	}
@@ -159,7 +159,7 @@ func TestMeasureFigure2AllSubsequences(t *testing.T) {
 func TestMeasureNonOverlapping(t *testing.T) {
 	// "aaaa" with stream "aa": exactly 2 non-overlapping occurrences.
 	aa := &Stream{Seq: sym("aa")}
-	m := Measure(SliceSource(sym("aaaa")), []*Stream{aa}, DefaultConfig(1), 0, false)
+	m := Measure(sym("aaaa"), []*Stream{aa}, DefaultConfig(1), 0, false)
 	if len(m.Streams) != 1 || m.Streams[0].Freq != 2 {
 		t.Fatalf("measurement = %+v", m.Streams)
 	}
@@ -169,7 +169,7 @@ func TestMeasureDropsSingletons(t *testing.T) {
 	// A stream seen once does not exhibit regularity and must be
 	// dropped, with its references returned to the cold pool.
 	xyz := &Stream{Seq: sym("xyz")}
-	m := Measure(SliceSource(sym("xyzabc")), []*Stream{xyz}, DefaultConfig(1), 0, false)
+	m := Measure(sym("xyzabc"), []*Stream{xyz}, DefaultConfig(1), 0, false)
 	if len(m.Streams) != 0 {
 		t.Fatalf("streams = %v", streamSeqs(m.Streams))
 	}
@@ -184,7 +184,7 @@ func TestMeasureReducedTrace(t *testing.T) {
 	abc := &Stream{Seq: sym("abc")}
 	de := &Stream{Seq: sym("de")}
 	in := sym("abcxdeabcdeyz")
-	m := Measure(SliceSource(in), []*Stream{abc, de}, DefaultConfig(1), 1000, true)
+	m := Measure(in, []*Stream{abc, de}, DefaultConfig(1), 1000, true)
 	if len(m.Streams) != 2 {
 		t.Fatalf("streams = %v", streamSeqs(m.Streams))
 	}
@@ -201,7 +201,7 @@ func TestMeasureReducedRenumbersAfterDrop(t *testing.T) {
 	// First stream never matches twice; symbols must renumber densely.
 	never := &Stream{Seq: sym("qq")}
 	ab := &Stream{Seq: sym("ab")}
-	m := Measure(SliceSource(sym("abab")), []*Stream{never, ab}, DefaultConfig(1), 500, true)
+	m := Measure(sym("abab"), []*Stream{never, ab}, DefaultConfig(1), 500, true)
 	if len(m.Streams) != 1 || m.Streams[0].ID != 0 {
 		t.Fatalf("streams = %+v", m.Streams)
 	}
@@ -219,7 +219,7 @@ func TestMeasureLongInputWindowing(t *testing.T) {
 		in = append(in, uint64(100+i%7))
 	}
 	abc := &Stream{Seq: sym("abc")}
-	m := Measure(SliceSource(in), []*Stream{abc}, DefaultConfig(1), 0, false)
+	m := Measure(in, []*Stream{abc}, DefaultConfig(1), 0, false)
 	if m.Streams[0].Freq != 5000 {
 		t.Errorf("freq = %d, want 5000", m.Streams[0].Freq)
 	}
@@ -254,7 +254,7 @@ func TestFindThresholdHighRegularity(t *testing.T) {
 		in = append(in, sym("abcdef")...)
 	}
 	d := dagOf(t, in)
-	th, meas := FindThreshold(d, SliceSource(in), uint64(len(in)), 6, SearchConfig{})
+	th, meas := FindThreshold(d, in, uint64(len(in)), 6, SearchConfig{})
 	if th.Coverage < 0.9 {
 		t.Fatalf("coverage = %v, want >= 0.9", th.Coverage)
 	}
@@ -278,7 +278,7 @@ func TestFindThresholdIrregularInput(t *testing.T) {
 		in[i] = uint64(rng.Intn(1500)) + 1
 	}
 	d := dagOf(t, in)
-	th, _ := FindThreshold(d, SliceSource(in), uint64(len(in)), 1500, SearchConfig{})
+	th, _ := FindThreshold(d, in, uint64(len(in)), 1500, SearchConfig{})
 	if th.Multiple != 1 && th.Coverage < 0.9 {
 		t.Errorf("threshold = %+v: multiple > 1 without meeting coverage", th)
 	}
@@ -321,12 +321,12 @@ func TestFindThresholdReturnsFinalMeasurement(t *testing.T) {
 			g := sequitur.New()
 			g.AppendAll(c.in)
 			d := NewDAGSource(sequitur.NewDAG(g, 100))
-			th, got := FindThreshold(d, g, uint64(len(c.in)), c.addrs, c.cfg)
+			th, got := FindThreshold(d, c.in, uint64(len(c.in)), c.addrs, c.cfg)
 			if !c.branch(th) {
 				t.Fatalf("threshold %+v did not take this branch", th)
 			}
 			cfg := Config{MinLen: 2, MaxLen: 100, Heat: th.Heat}
-			want := Measure(SliceSource(c.in), Detect(d, cfg), cfg, 0, false)
+			want := Measure(c.in, Detect(d, cfg), cfg, 0, false)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("returned measurement (%d streams, %d covered) differs from a fresh one at heat %d (%d streams, %d covered)",
 					len(got.Streams), got.CoveredRefs, th.Heat, len(want.Streams), want.CoveredRefs)
@@ -354,7 +354,7 @@ func TestCoverageVanishesAtExtremeHeat(t *testing.T) {
 	if len(streams) != 0 {
 		t.Errorf("streams at impossible heat: %v", streamSeqs(streams))
 	}
-	meas := Measure(SliceSource(in), streams, c, 0, false)
+	meas := Measure(in, streams, c, 0, false)
 	if meas.Coverage() != 0 {
 		t.Errorf("coverage = %v, want 0", meas.Coverage())
 	}
@@ -393,7 +393,7 @@ func TestDetectOnRealisticMixedTrace(t *testing.T) {
 	d := dagOf(t, in)
 	cfg := Config{MinLen: 2, MaxLen: 100, Heat: 100}
 	streams := Detect(d, cfg)
-	meas := Measure(SliceSource(in), streams, cfg, 0, false)
+	meas := Measure(in, streams, cfg, 0, false)
 	if meas.Coverage() < 0.7 {
 		t.Errorf("coverage = %v, want >= 0.7 on motif-dominated trace", meas.Coverage())
 	}
@@ -431,7 +431,7 @@ func BenchmarkMeasure(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Measure(SliceSource(in), streams, DefaultConfig(1), 0, false)
+		Measure(in, streams, DefaultConfig(1), 0, false)
 	}
 }
 

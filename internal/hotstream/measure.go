@@ -34,24 +34,6 @@ func (m *Measurement) Coverage() float64 {
 	return float64(m.CoveredRefs) / float64(m.TotalRefs)
 }
 
-// walker streams abstracted references; satisfied by (*wps.WPS).Walk and by
-// in-memory slices in tests.
-type walker interface {
-	Walk(yield func(name uint64) bool)
-}
-
-// SliceSource adapts an in-memory name sequence to the walker interface.
-type SliceSource []uint64
-
-// Walk yields each name in order.
-func (s SliceSource) Walk(yield func(uint64) bool) {
-	for _, v := range s {
-		if !yield(v) {
-			return
-		}
-	}
-}
-
 // ScanOccurrences runs greedy longest-match tokenization over an
 // in-memory name sequence and invokes fn for each hot-stream occurrence
 // in the resulting partition (id indexes streams; the occurrence covers
@@ -70,8 +52,10 @@ func ScanOccurrences(names []uint64, streams []*Stream, fn func(id, start, lengt
 	}
 }
 
-// Measure performs the exact matching pass with an Aho-Corasick scan:
-// every occurrence of every stream is observed; per stream, maximal
+// Measure performs the exact matching pass with an Aho-Corasick scan of
+// seq, the reference sequence in memory (callers holding only a grammar
+// expand it once with sequitur's DAG.Expand): every occurrence of every
+// stream is observed; per stream, maximal
 // non-overlapping occurrences are counted left to right (the regularity
 // frequency of §2.2) with their inter-occurrence gaps (temporal
 // regularity); coverage is the union of all occurrence spans. Streams seen
@@ -80,15 +64,15 @@ func ScanOccurrences(names []uint64, streams []*Stream, fn func(id, start, lengt
 // When emitReduced is set, a second, greedy longest-match pass tokenizes
 // the sequence into the reduced trace of §3.2 (stream occurrences as
 // single symbols, cold references elided).
-func Measure(src walker, streams []*Stream, cfg Config, streamBase uint64, emitReduced bool) *Measurement {
-	return measureWith(src, streams, trieOf(streams), cfg, streamBase, emitReduced)
+func Measure(seq []uint64, streams []*Stream, cfg Config, streamBase uint64, emitReduced bool) *Measurement {
+	return measureWith(seq, streams, trieOf(streams), cfg, streamBase, emitReduced)
 }
 
 // measureWith is Measure on tr, a trie that indexes streams[i].Seq as
 // stream i (as trieOf(streams) builds it) and has no failure links yet.
 // It adds them, so tr becomes the scan's automaton; the Measurement
 // keeps no pointer to it.
-func measureWith(src walker, streams []*Stream, tr *trie, cfg Config, streamBase uint64, emitReduced bool) *Measurement {
+func measureWith(seq []uint64, streams []*Stream, tr *trie, cfg Config, streamBase uint64, emitReduced bool) *Measurement {
 	cfg.normalize()
 	tr.buildFailLinks()
 	m := &Measurement{StreamBase: streamBase}
@@ -97,7 +81,7 @@ func measureWith(src walker, streams []*Stream, tr *trie, cfg Config, streamBase
 	// order, so per-stream non-overlap greediness and union coverage
 	// both work with simple watermarks.
 	sc := acScan{tr: tr, occ: make([]streamOcc, len(streams))}
-	eachChunk(src, sc.scan)
+	sc.scan(seq)
 	for i, s := range streams {
 		s.Freq, s.GapSum = sc.occ[i].freq, sc.occ[i].gapSum
 	}
@@ -125,7 +109,7 @@ func measureWith(src walker, streams []*Stream, tr *trie, cfg Config, streamBase
 	// should not count. Rather than re-deriving the union, rescan only
 	// when something was dropped and the answer could change.
 	if len(kept) != len(streams) && len(kept) > 0 {
-		m.CoveredRefs, m.ColdRefs = reunion(src, kept, cfg)
+		m.CoveredRefs, m.ColdRefs = reunion(seq, kept, cfg)
 		m.ColdRefs = m.TotalRefs - m.CoveredRefs
 	} else if len(kept) == 0 {
 		m.CoveredRefs = 0
@@ -134,7 +118,7 @@ func measureWith(src walker, streams []*Stream, tr *trie, cfg Config, streamBase
 
 	// Pass 2: reduced-trace tokenization over the kept streams.
 	if emitReduced {
-		m.Reduced = tokenize(src, kept, streamBase)
+		m.Reduced = tokenize(seq, kept, streamBase)
 	}
 	return m
 }
@@ -200,69 +184,22 @@ func (sc *acScan) scan(names []uint64) {
 	sc.state, sc.pos, sc.unionEnd, sc.covered = state, pos, unionEnd, covered
 }
 
-// eachChunk hands src's names to fn in order: all at once when src is a
-// SliceSource, otherwise in chunks of a reused buffer.
-func eachChunk(src walker, fn func([]uint64)) {
-	if s, ok := src.(SliceSource); ok {
-		fn(s)
-		return
-	}
-	buf := make([]uint64, 0, 4096)
-	src.Walk(func(v uint64) bool {
-		buf = append(buf, v)
-		if len(buf) == cap(buf) {
-			fn(buf)
-			buf = buf[:0]
-		}
-		return true
-	})
-	fn(buf)
-}
-
 // reunion recomputes union coverage over the kept streams only.
-func reunion(src walker, streams []*Stream, cfg Config) (covered, cold uint64) {
+func reunion(seq []uint64, streams []*Stream, cfg Config) (covered, cold uint64) {
 	tr := trieOf(streams)
 	tr.buildFailLinks()
 	sc := acScan{tr: tr}
-	eachChunk(src, sc.scan)
+	sc.scan(seq)
 	return sc.covered, sc.pos - sc.covered
 }
 
-// tokenize produces the reduced trace: greedy longest-match from the left,
-// cold references elided.
-func tokenize(src walker, streams []*Stream, streamBase uint64) []uint64 {
-	tr := trieOf(streams)
-	maxLen := 1
-	for _, s := range streams {
-		if len(s.Seq) > maxLen {
-			maxLen = len(s.Seq)
-		}
-	}
+// tokenize produces the reduced trace: ScanOccurrences' greedy
+// longest-match partition, one symbol per occurrence, cold references
+// elided.
+func tokenize(seq []uint64, streams []*Stream, streamBase uint64) []uint64 {
 	reduced := make([]uint64, 0, 1024)
-	win := make([]uint64, 0, 4*maxLen)
-	consume := func(final bool) {
-		for len(win) >= maxLen || (final && len(win) > 0) {
-			id, n := tr.longestMatch(win)
-			if id >= 0 {
-				reduced = append(reduced, streamBase+uint64(id))
-				win = win[n:]
-			} else {
-				win = win[1:]
-			}
-		}
-		if cap(win)-len(win) < maxLen {
-			nw := make([]uint64, len(win), 4*maxLen+len(win))
-			copy(nw, win)
-			win = nw
-		}
-	}
-	src.Walk(func(v uint64) bool {
-		win = append(win, v)
-		if len(win) >= 2*maxLen {
-			consume(false)
-		}
-		return true
+	ScanOccurrences(seq, streams, func(id, _, _ int) {
+		reduced = append(reduced, streamBase+uint64(id))
 	})
-	consume(true)
 	return reduced
 }

@@ -77,7 +77,7 @@ func TestMeasureMatchesNaiveCounting(t *testing.T) {
 				streams = append(streams, &Stream{Seq: seq})
 			}
 		}
-		m := Measure(SliceSource(hay), streams, DefaultConfig(1), 0, false)
+		m := Measure(hay, streams, DefaultConfig(1), 0, false)
 		for _, s := range m.Streams {
 			wantFreq, wantGaps := naiveCount(hay, s.Seq)
 			if s.Freq != wantFreq {
@@ -113,7 +113,7 @@ func TestCoverageMatchesNaiveUnion(t *testing.T) {
 			{Seq: []uint64{2, 3, 1}},
 			{Seq: []uint64{4, 4}},
 		}
-		m := Measure(SliceSource(hay), streams, DefaultConfig(1), 0, false)
+		m := Measure(hay, streams, DefaultConfig(1), 0, false)
 		// Naive: mark every position inside any occurrence (overlapping
 		// or not) of any KEPT stream.
 		covered := make([]bool, n)
@@ -329,12 +329,11 @@ func TestMeasureOnDetectTrie(t *testing.T) {
 		g := sequitur.New()
 		g.AppendAll(names)
 		d := NewDAGSource(sequitur.NewDAG(g, 100))
-		seq := SliceSource(names)
 		wt := newWindowTable()
 		for _, heat := range heats {
 			cfg := DefaultConfig(heat)
-			got := measureWith(seq, detect(d, cfg, wt), wt.minimal, cfg, 0, false)
-			want := Measure(seq, Detect(d, cfg), cfg, 0, false)
+			got := measureWith(names, detect(d, cfg, wt), wt.minimal, cfg, 0, false)
+			want := Measure(names, Detect(d, cfg), cfg, 0, false)
 			if got.TotalRefs != want.TotalRefs || got.CoveredRefs != want.CoveredRefs || got.ColdRefs != want.ColdRefs {
 				t.Errorf("%s heat %d: total/covered/cold refs %d/%d/%d, fresh trie %d/%d/%d", bench, heat,
 					got.TotalRefs, got.CoveredRefs, got.ColdRefs, want.TotalRefs, want.CoveredRefs, want.ColdRefs)

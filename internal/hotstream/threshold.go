@@ -6,53 +6,41 @@ import (
 	"repro/internal/sequitur"
 )
 
-// DAGSource adapts a *sequitur.DAG to the detector's view.
+// DAGSource adapts a *sequitur.DAG to the detector's view. A rule's id
+// is its postorder position in the DAG.
 type DAGSource struct {
-	D     *sequitur.DAG
-	rules map[uint64]*sequitur.Rule
+	D *sequitur.DAG
 }
 
 // NewDAGSource wraps d.
-func NewDAGSource(d *sequitur.DAG) *DAGSource {
-	rules := make(map[uint64]*sequitur.Rule, len(d.Order))
-	for _, r := range d.Order {
-		rules[r.ID()] = r
-	}
-	return &DAGSource{D: d, rules: rules}
-}
+func NewDAGSource(d *sequitur.DAG) *DAGSource { return &DAGSource{D: d} }
 
-// RuleIDs returns rules in the DAG's postorder (children first).
+// RuleIDs returns the rules' positions in postorder (children first).
 func (s *DAGSource) RuleIDs() []uint64 {
-	out := make([]uint64, len(s.D.Order))
-	for i, r := range s.D.Order {
-		out[i] = r.ID()
+	out := make([]uint64, s.D.Len())
+	for i := range out {
+		out[i] = uint64(i)
 	}
 	return out
 }
 
 // Occ returns the rule's occurrence count in the full sequence.
-func (s *DAGSource) Occ(id uint64) uint64 { return s.D.Occ[id] }
+func (s *DAGSource) Occ(id uint64) uint64 { return s.D.Occ(int(id)) }
 
 // ExpLen returns the rule's expansion length.
-func (s *DAGSource) ExpLen(id uint64) uint64 { return s.D.ExpLen(s.rules[id]) }
+func (s *DAGSource) ExpLen(id uint64) uint64 { return s.D.ExpLen(int(id)) }
 
 // RHSLen returns the number of right-hand-side positions.
-func (s *DAGSource) RHSLen(id uint64) int { return s.D.RHS[id].Len() }
+func (s *DAGSource) RHSLen(id uint64) int { return s.D.RHSLen(int(id)) }
 
 // Elem returns position i of the rule's RHS.
-func (s *DAGSource) Elem(id uint64, i int) (uint64, bool) {
-	rhs := s.D.RHS[id]
-	if ref := rhs.Refs[i]; ref != nil {
-		return ref.ID(), true
-	}
-	return rhs.Terminals[i], false
-}
+func (s *DAGSource) Elem(id uint64, i int) (uint64, bool) { return s.D.Elem(int(id), i) }
 
 // Prefix returns the first n terminals of the rule's expansion.
-func (s *DAGSource) Prefix(id uint64, n int) []uint64 { return s.D.Prefix(s.rules[id], n) }
+func (s *DAGSource) Prefix(id uint64, n int) []uint64 { return s.D.Prefix(int(id), n) }
 
 // Suffix returns the last n terminals of the rule's expansion.
-func (s *DAGSource) Suffix(id uint64, n int) []uint64 { return s.D.Suffix(s.rules[id], n) }
+func (s *DAGSource) Suffix(id uint64, n int) []uint64 { return s.D.Suffix(int(id), n) }
 
 var _ dagView = (*DAGSource)(nil)
 
@@ -140,27 +128,17 @@ func FixedThreshold(multiple, totalRefs, totalAddrs uint64) Threshold {
 // exponential probe plus binary search suffices.
 //
 // It returns the threshold and the measurement at it: exactly what
-// Measure(src, Detect(d, cfg), cfg, 0, false) returns at the returned heat
+// Measure(seq, Detect(d, cfg), cfg, 0, false) returns at the returned heat
 // (streams with exact frequencies and gaps), so a caller need not repeat
 // that probe. If even multiple 1 misses the target, multiple 1 is returned
 // with whatever coverage it achieves.
 //
-// Every probe scans the whole reference sequence, so a src that is not
-// already a slice is expanded once, into a slice that lives only for the
-// search, rather than regenerated by each probe. The probes' detection
-// passes likewise share one window table, and each probe measures on the
-// minimality trie its detection pass left there instead of building a
-// second trie of the same streams.
-func FindThreshold(d dagView, src walker, totalRefs, totalAddrs uint64, cfg SearchConfig) (Threshold, *Measurement) {
+// Every probe scans seq, the whole reference sequence d represents. The
+// probes' detection passes share one window table, and each probe
+// measures on the minimality trie its detection pass left there instead
+// of building a second trie of the same streams.
+func FindThreshold(d dagView, seq []uint64, totalRefs, totalAddrs uint64, cfg SearchConfig) (Threshold, *Measurement) {
 	cfg = cfg.Normalized()
-	seq, ok := src.(SliceSource)
-	if !ok {
-		seq = make(SliceSource, 0, totalRefs)
-		src.Walk(func(v uint64) bool {
-			seq = append(seq, v)
-			return true
-		})
-	}
 	unit := 1.0
 	if totalAddrs > 0 {
 		unit = float64(totalRefs) / float64(totalAddrs)

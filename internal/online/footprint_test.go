@@ -84,3 +84,23 @@ func BenchmarkEngineFootprint(b *testing.B) {
 		})
 	}
 }
+
+// TestSnapshotAllocs is the allocation gate for a repeat snapshot: a
+// Snapshot of an unchanged boxsim 30k engine builds the grammar's flat
+// DAG, expands the sequence once from it, and detects and measures at
+// the remembered threshold. That is a few slices per stage and a few per
+// hot stream; a per-rule or per-symbol allocation (a map entry, a
+// right-hand-side slice, a formatted string) would add thousands.
+// Allocation counts do not depend on the host, so the gate holds
+// anywhere.
+func TestSnapshotAllocs(t *testing.T) {
+	const ceiling = 400
+	e := NewEngine(Options{})
+	ingestChunked(e, genTrace(t, "boxsim", 30_000), ingestChunk)
+	e.Snapshot()
+	allocs := testing.AllocsPerRun(5, func() { e.Snapshot() })
+	t.Logf("repeat snapshot: %.0f allocs", allocs)
+	if allocs > ceiling {
+		t.Errorf("a repeat snapshot of a boxsim 30k engine allocated %.0f times, want at most %d", allocs, ceiling)
+	}
+}

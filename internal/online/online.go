@@ -10,11 +10,13 @@
 // (abstract.SinkStreamer, which retains only the heap map, not the
 // per-reference arrays), and SEQUITUR grammar growth (sequitur's Append
 // is online by construction). Snapshot then freezes the grammar into its
-// DAG view and runs the same threshold search, detection, and exact
-// measurement passes the batch pipeline runs. The engine remembers the
-// threshold its last search returned, keyed by the event count it saw, so
-// a repeat Snapshot of an unchanged session runs one detection probe at
-// that threshold instead of the whole search.
+// flat DAG view, expands the reference sequence from it once, and runs
+// the same threshold search, detection, and exact measurement passes the
+// batch pipeline runs, every measurement scanning that one expansion.
+// The engine remembers the threshold its last search returned, keyed by
+// the event count it saw, so a repeat Snapshot of an unchanged session
+// runs one detection probe at that threshold instead of the whole
+// search.
 //
 // Equivalence guarantee: with eviction disabled (Options.MaxRules == 0),
 // a Snapshot taken after the trace is fully consumed is bit-identical to
@@ -265,11 +267,11 @@ func (e *Engine) Evictions() uint64 { return e.evictions }
 func (e *Engine) Stats() trace.Stats { return e.acc.Stats() }
 
 // Snapshot runs online hot-data-stream detection over everything
-// ingested so far: the grammar is frozen into its DAG view, the heat
-// threshold is recomputed (searched, or fixed via FixedHeatMultiple),
-// streams are detected on the DAG and measured exactly against the
-// regenerated reference sequence, and the locality metrics are
-// summarized. A search already detects and measures at the heat it
+// ingested so far: the grammar is frozen into its DAG view and the
+// reference sequence is expanded from the DAG once, the heat threshold
+// is recomputed (searched, or fixed via FixedHeatMultiple), streams are
+// detected on the DAG and measured exactly against that expansion, and
+// the locality metrics are summarized. A search already detects and measures at the heat it
 // returns, so the detect and measure stages only do work for a fixed
 // multiple or a remembered threshold.
 //
@@ -279,7 +281,8 @@ func (e *Engine) Stats() trace.Stats { return e.acc.Stats() }
 // exactly the search's final measurement, so the snapshot's bytes are
 // unchanged. Any non-empty Ingest advances the count (eviction runs only
 // inside Ingest), and a restored engine starts with nothing remembered.
-// Nothing else computed here outlives the call; the engine remains
+// Nothing else computed here outlives the call, the DAG and the
+// expansion (8 bytes per reference) included; the engine remains
 // appendable afterwards.
 // Every phase runs as a named stage through the shared runner
 // (internal/pipeline) — the same stage names the batch pipeline uses —
@@ -289,6 +292,7 @@ func (e *Engine) Snapshot() *Snapshot {
 	refs := e.g.InputLen()
 	var stats trace.Stats
 	var dsrc *hotstream.DAGSource
+	var seq []uint64
 	var th hotstream.Threshold
 	var cfg hotstream.Config
 	var streams []*hotstream.Stream
@@ -305,6 +309,7 @@ func (e *Engine) Snapshot() *Snapshot {
 			e.dagFresh = true
 			dsrc = hotstream.NewDAGSource(dag)
 			grammar = dag.ComputeStats()
+			seq = dag.Expand()
 			return nil
 		}},
 		pipeline.Stage{Name: pipeline.StageThreshold, Run: func() error {
@@ -314,7 +319,7 @@ func (e *Engine) Snapshot() *Snapshot {
 			case e.searchedOK && e.searchedAt == e.events:
 				th = e.searched
 			default:
-				th, meas = hotstream.FindThreshold(dsrc, e.g, refs, stats.Addresses, hotstream.SearchConfig{
+				th, meas = hotstream.FindThreshold(dsrc, seq, refs, stats.Addresses, hotstream.SearchConfig{
 					MinLen:         e.opts.MinStreamLen,
 					MaxLen:         e.opts.MaxStreamLen,
 					CoverageTarget: e.opts.CoverageTarget,
@@ -332,7 +337,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		}},
 		pipeline.Stage{Name: pipeline.StageMeasure, Run: func() error {
 			if meas == nil {
-				meas = hotstream.Measure(e.g, streams, cfg, 0, false)
+				meas = hotstream.Measure(seq, streams, cfg, 0, false)
 			}
 			th.Coverage = meas.Coverage()
 			return nil

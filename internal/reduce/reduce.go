@@ -117,7 +117,6 @@ func Run(reg *obs.Registry, names []uint64, totalAddrs uint64, opts Options) *Pi
 			p.Levels = append(p.Levels, level)
 			break
 		}
-		src := hotstream.SliceSource(cur)
 		dag := hotstream.NewDAGSource(w.DAG)
 		var th hotstream.Threshold
 		var searched *hotstream.Measurement
@@ -125,7 +124,7 @@ func Run(reg *obs.Registry, names []uint64, totalAddrs uint64, opts Options) *Pi
 			if opts.FixedMultiple > 0 {
 				th = hotstream.FixedThreshold(opts.FixedMultiple, uint64(len(cur)), curAddrs)
 			} else {
-				th, searched = hotstream.FindThreshold(dag, src, uint64(len(cur)), curAddrs, scfg)
+				th, searched = hotstream.FindThreshold(dag, cur, uint64(len(cur)), curAddrs, scfg)
 			}
 			return nil
 		})
@@ -155,7 +154,7 @@ func Run(reg *obs.Registry, names []uint64, totalAddrs uint64, opts Options) *Pi
 		base := maxSymbol(cur) + 1
 		var meas *hotstream.Measurement
 		_ = pipeline.Time(reg, pipeline.StageMeasure, func() error {
-			meas = hotstream.Measure(src, streams, cfg, base, true)
+			meas = hotstream.Measure(cur, streams, cfg, base, true)
 			level.SFG = sfg.Build(meas.Reduced, base, len(meas.Streams))
 			return nil
 		})

@@ -17,7 +17,7 @@ import (
 // Rules are renumbered densely in postorder with the root last; a symbol
 // is value<<1 for a terminal and index<<1|1 for a rule reference, so the
 // common small values stay one byte. Loaded grammars are frozen: they
-// support analysis (DAG construction, Walk, Expand) but not Append, since
+// support analysis (DAG construction, Expand) but not Append, since
 // the digram index is not reconstructed.
 
 var codecMagic = [4]byte{'W', 'P', 'S', '1'}
@@ -31,16 +31,13 @@ var ErrFrozen = errors.New("sequitur: grammar loaded from binary is read-only")
 func (d *DAG) WriteBinary(w io.Writer) (int64, error) {
 	ww := wire.NewWriter(w, codecMagic)
 	ww.Uvarint(uint64(len(d.Order)))
-	for _, r := range d.Order {
-		rhs := d.RHS[r.ID()]
-		ww.Uvarint(uint64(rhs.Len()))
-		for i, ref := range rhs.Refs {
-			if ref != nil {
-				// The postorder index is built eagerly by NewDAG, so
-				// concurrent encoders may read it.
-				ww.Uvarint(uint64(d.orderIdx[ref.ID()])<<1 | 1)
+	for _, sp := range d.rhs {
+		ww.Uvarint(uint64(sp.hi - sp.lo))
+		for s := sp.lo; s < sp.hi; s++ {
+			if ref := d.refs[s]; ref >= 0 {
+				ww.Uvarint(uint64(ref)<<1 | 1)
 			} else {
-				ww.Uvarint(rhs.Terminals[i] << 1)
+				ww.Uvarint(d.terms[s] << 1)
 			}
 		}
 	}
@@ -54,7 +51,7 @@ func (d *DAG) BinarySize() uint64 {
 }
 
 // ReadBinary decodes a grammar from the binary form. The result is frozen:
-// Append panics with ErrFrozen; analysis entry points (NewDAG, Walk,
+// Append panics with ErrFrozen; analysis entry points (NewDAG,
 // Expand, Rules) work normally. Truncated or corrupt input fails with an
 // error naming the byte offset of the damage.
 func ReadBinary(r io.Reader) (*Grammar, error) {
@@ -92,6 +89,7 @@ func ReadBinary(r io.Reader) (*Grammar, error) {
 			sv := rd.Uvarint("rule symbol")
 			si := g.arena.allocSymbol()
 			s := g.at(si)
+			add := uint64(1)
 			if sv&1 == 1 {
 				idx := sv >> 1
 				if idx >= i {
@@ -101,11 +99,19 @@ func ReadBinary(r io.Reader) (*Grammar, error) {
 				s.rule = rules[idx].self
 				s.value = ntBit | rules[idx].id
 				rules[idx].uses++
-				n += lens[idx]
+				add = lens[idx]
 			} else {
 				s.value = sv >> 1
-				n++
 			}
+			// Rules that each repeat the one before double the length,
+			// so a few hundred bytes can claim more than 2^64
+			// terminals; a wrapped length would make InputLen and
+			// Expand disagree with the grammar.
+			if n+add < n {
+				rd.Failf("rule %d expands to more than 2^64 terminals", i)
+				break
+			}
+			n += add
 			// Raw append before the guard.
 			gs := g.at(r.guard)
 			last := gs.prev

@@ -57,8 +57,8 @@ func TestBinaryRoundTripRandom(t *testing.T) {
 		}
 		// The loaded grammar supports full DAG analysis.
 		d := NewDAG(g2, 50)
-		if d.ExpLen(g2.Root()) != 2000 {
-			t.Fatalf("trial %d: root expansion %d", trial, d.ExpLen(g2.Root()))
+		if root := d.Pos(g2.Root()); d.ExpLen(root) != 2000 {
+			t.Fatalf("trial %d: root expansion %d", trial, d.ExpLen(root))
 		}
 	}
 }
@@ -191,6 +191,21 @@ func TestReadBinaryTruncationOffsets(t *testing.T) {
 		if cut >= len(codecMagic) && !strings.Contains(err.Error(), "offset") {
 			t.Fatalf("cut at %d: error lacks offset: %v", cut, err)
 		}
+	}
+}
+
+// TestReadBinaryRejectsLengthOverflow: 65 rules, each the one before
+// it twice, claim 2^66 terminals in 200 bytes. The length must not wrap
+// to a value that Expand and InputLen would then trust.
+func TestReadBinaryRejectsLengthOverflow(t *testing.T) {
+	data := []byte{'W', 'P', 'S', '1', 65, 2, 1 << 1, 1 << 1}
+	for i := 1; i < 65; i++ {
+		ref := byte((i-1)<<1 | 1)
+		data = append(data, 2, ref, ref)
+	}
+	if _, err := ReadBinary(bytes.NewReader(data)); err == nil ||
+		!strings.Contains(err.Error(), "2^64") {
+		t.Errorf("err = %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package sequitur
 import (
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // DAG is the analysis view of a grammar: the directed acyclic graph Larus
@@ -17,9 +18,19 @@ import (
 // which the hot-data-stream analysis needs to weight boundary-crossing
 // subsequences.
 //
+// Rules are named by their postorder position: Order[p] is the rule at
+// position p, and every per-rule quantity is a flat slice indexed by p,
+// except the expansion length, which stays in the rule's own cache (the
+// sanitizer checks it there).
+// Right-hand sides are copied out of the grammar's linked symbol arena
+// into two shared backings (rule references as positions, and terminal
+// values), and the prefix/suffix affixes share two more, so building a
+// DAG allocates a handful of slices and no maps whatever the grammar's
+// size. The positions are the WPS1 codec's rule numbering.
+//
 // A DAG is immutable after NewDAG: every memoization (occurrence
 // counts, expansion lengths, prefix/suffix affixes, the postorder
-// index) is computed eagerly at construction, so any number of
+// positions) is computed eagerly at construction, so any number of
 // goroutines may read one DAG concurrently — the parallel analysis
 // engine relies on this for concurrent detection and sizing passes.
 // The underlying Grammar must not be appended to while the DAG is in
@@ -28,19 +39,27 @@ type DAG struct {
 	G *Grammar
 	// Order lists rules in reverse topological order: every rule appears
 	// after all rules it references (children first), so Order[len-1] is
-	// the root. This is the postorder the detection algorithm traverses.
+	// the root. This is the postorder the detection algorithm traverses,
+	// and a rule's index here is its position.
 	Order []*Rule
-	// Occ[id] is the number of occurrences of rule id's expansion in the
-	// full input string.
-	Occ map[uint64]uint64
-	// RHS caches each rule's materialized right-hand side.
-	RHS map[uint64]RHS
 
-	prefixes map[uint64][]uint64 // rule id -> first <=maxAffix terminals
-	suffixes map[uint64][]uint64 // rule id -> last <=maxAffix terminals
+	pos []int32 // Rule.self -> position
+	occ []uint64
+	// Rule p's right-hand side is refs/terms[rhs[p].lo:rhs[p].hi]: at
+	// each symbol, refs holds the referenced rule's position, or -1 for
+	// a terminal whose value terms holds.
+	rhs   []span
+	refs  []int32
+	terms []uint64
+	// Rule p's first and last min(ExpLen(p), maxAffix) terminals are
+	// pre/suf[aff[p]:aff[p+1]].
+	aff      []int
+	pre, suf []uint64
 	maxAffix int
-	orderIdx map[uint64]int // rule id -> postorder index (codec); eager for concurrent readers
 }
+
+// span bounds one rule's symbols in the DAG's right-hand-side backings.
+type span struct{ lo, hi int32 }
 
 // NewDAG freezes the grammar into its DAG view. maxAffix bounds the length
 // of memoized prefix/suffix expansions (use the maximum hot-stream length).
@@ -48,84 +67,121 @@ func NewDAG(g *Grammar, maxAffix int) *DAG {
 	if maxAffix < 1 {
 		maxAffix = 1
 	}
-	d := &DAG{
-		G:        g,
-		Occ:      make(map[uint64]uint64, g.nRules),
-		RHS:      make(map[uint64]RHS, g.nRules),
-		prefixes: make(map[uint64][]uint64, g.nRules),
-		suffixes: make(map[uint64][]uint64, g.nRules),
-		maxAffix: maxAffix,
-	}
-	g.eachRule(func(r *Rule) { d.RHS[r.id] = r.RHS() })
-	d.topoSort()
+	d := &DAG{G: g, maxAffix: maxAffix}
+	bySlot := d.copyRHS()
+	d.postorder(bySlot)
 	d.computeOcc()
 	d.computeLens()
 	d.computeAffixes()
-	d.orderIdx = make(map[uint64]int, len(d.Order))
-	for i, r := range d.Order {
-		d.orderIdx[r.ID()] = i
-	}
 	return d
 }
 
-// topoSort orders rules children-first via an iterative DFS from the root.
-// Unreachable rules (none exist in a well-formed grammar) are appended at
-// the end for robustness.
-func (d *DAG) topoSort() {
-	visited := make(map[uint64]bool, d.G.nRules)
-	var order []*Rule
-	type frame struct {
-		r    *Rule
-		next int
-	}
-	push := func(stack []frame, r *Rule) []frame {
-		visited[r.id] = true
-		return append(stack, frame{r: r})
-	}
-	stack := push(nil, d.G.root)
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		rhs := d.RHS[top.r.id]
-		advanced := false
-		for top.next < rhs.Len() {
-			ref := rhs.Refs[top.next]
-			top.next++
-			if ref != nil && !visited[ref.id] {
-				stack = push(stack, ref)
-				advanced = true
-				break
-			}
-		}
-		if advanced {
+// copyRHS copies every live rule's right-hand side into the shared
+// backings in one pass over the arena's rule slots, with references
+// named by rule slot for now. It returns each slot's span.
+func (d *DAG) copyRHS() []span {
+	g := d.G
+	slots := g.arena.ruleSlots
+	bySlot := make([]span, len(slots))
+	// Every allocated symbol that is neither free nor a guard sits in a
+	// right-hand side, so this sizes the backings exactly.
+	n := max(int(g.arena.symHigh)-1-int(g.arena.nFree)-g.nRules, 0)
+	d.refs = make([]int32, 0, n)
+	d.terms = make([]uint64, 0, n)
+	for h, r := range slots {
+		if r == nil {
 			continue
 		}
-		order = append(order, top.r)
-		stack = stack[:len(stack)-1]
-	}
-	d.G.eachRule(func(r *Rule) {
-		if !visited[r.id] {
-			order = append(order, r)
+		lo := int32(len(d.refs))
+		for si := r.first(); ; {
+			s := g.at(si)
+			if s.isGuard() {
+				break
+			}
+			if s.rule != nilRule {
+				d.refs = append(d.refs, int32(s.rule))
+				d.terms = append(d.terms, 0)
+			} else {
+				d.refs = append(d.refs, -1)
+				d.terms = append(d.terms, s.value)
+			}
+			si = s.next
 		}
-	})
-	d.Order = order
+		bySlot[h] = span{lo, int32(len(d.refs))}
+	}
+	return bySlot
 }
 
-// computeOcc propagates occurrence counts root-down (reverse of Order).
-func (d *DAG) computeOcc() {
-	for _, r := range d.Order {
-		d.Occ[r.id] = 0
+// postorder orders rules children-first via an iterative DFS from the
+// root, assigns each its position, lays the spans out by position, and
+// renames every reference from its rule slot to its position.
+// Unreachable rules (none exist in a well-formed grammar) are appended at
+// the end for robustness.
+func (d *DAG) postorder(bySlot []span) {
+	g := d.G
+	slots := g.arena.ruleSlots
+	const unseen, onStack = -1, -2
+	d.pos = make([]int32, len(slots))
+	for i := range d.pos {
+		d.pos[i] = unseen
 	}
-	d.Occ[d.G.root.id] = 1
-	for i := len(d.Order) - 1; i >= 0; i-- {
-		r := d.Order[i]
-		n := d.Occ[r.id]
+	d.Order = make([]*Rule, 0, g.nRules)
+	d.rhs = make([]span, 0, g.nRules)
+	emit := func(h ruleID) {
+		d.pos[h] = int32(len(d.Order))
+		d.Order = append(d.Order, slots[h])
+		d.rhs = append(d.rhs, bySlot[h])
+	}
+	// A frame is a rule slot and the next symbol of its span to visit.
+	type frame struct {
+		h    ruleID
+		next int32
+	}
+	stack := make([]frame, 1, 64)
+	stack[0] = frame{g.root.self, bySlot[g.root.self].lo}
+	d.pos[g.root.self] = onStack
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		hi := bySlot[top.h].hi
+		var child ruleID
+		for top.next < hi && child == nilRule {
+			if ref := d.refs[top.next]; ref >= 0 && d.pos[ref] == unseen {
+				child = ruleID(ref)
+			}
+			top.next++
+		}
+		if child != nilRule {
+			d.pos[child] = onStack
+			stack = append(stack, frame{child, bySlot[child].lo})
+			continue
+		}
+		emit(top.h)
+		stack = stack[:len(stack)-1]
+	}
+	for h, r := range slots {
+		if r != nil && d.pos[h] == unseen {
+			emit(ruleID(h))
+		}
+	}
+	for i, ref := range d.refs {
+		if ref >= 0 {
+			d.refs[i] = d.pos[ref]
+		}
+	}
+}
+
+// computeOcc propagates occurrence counts root-down (reverse postorder).
+func (d *DAG) computeOcc() {
+	d.occ = make([]uint64, len(d.Order))
+	d.occ[d.pos[d.G.root.self]] = 1
+	for p := len(d.Order) - 1; p >= 0; p-- {
+		n := d.occ[p]
 		if n == 0 {
 			continue
 		}
-		rhs := d.RHS[r.id]
-		for _, ref := range rhs.Refs {
-			if ref != nil {
-				d.Occ[ref.id] += n
+		for _, ref := range d.refsOf(p) {
+			if ref >= 0 {
+				d.occ[ref] += n
 			}
 		}
 	}
@@ -133,77 +189,143 @@ func (d *DAG) computeOcc() {
 
 // computeLens fills each rule's expansion length, children first.
 func (d *DAG) computeLens() {
-	for _, r := range d.Order {
+	for p, r := range d.Order {
 		var n uint64
-		rhs := d.RHS[r.id]
-		for _, ref := range rhs.Refs {
-			if ref == nil {
+		for _, ref := range d.refsOf(p) {
+			if ref < 0 {
 				n++
 			} else {
-				n += ref.expLen
+				n += d.Order[ref].expLen
 			}
 		}
 		r.expLen = n
 	}
 }
 
-// ExpLen returns the expansion length of rule r in terminals.
-func (d *DAG) ExpLen(r *Rule) uint64 { return r.expLen }
-
 // computeAffixes memoizes each rule's expansion prefix and suffix up to
-// maxAffix terminals, children first.
+// maxAffix terminals, children first, into two backings sized to the
+// affixes' total length.
 func (d *DAG) computeAffixes() {
-	for _, r := range d.Order {
-		rhs := d.RHS[r.id]
-		pre := make([]uint64, 0, d.maxAffix)
-		for i := 0; i < rhs.Len() && len(pre) < d.maxAffix; i++ {
-			if ref := rhs.Refs[i]; ref != nil {
-				pre = append(pre, d.prefixes[ref.id][:min(d.maxAffix-len(pre), len(d.prefixes[ref.id]))]...)
+	d.aff = make([]int, len(d.Order)+1)
+	for p, r := range d.Order {
+		d.aff[p+1] = d.aff[p] + int(min(r.expLen, uint64(d.maxAffix)))
+	}
+	total := d.aff[len(d.Order)]
+	d.pre = make([]uint64, total)
+	d.suf = make([]uint64, total)
+	for p := range d.Order {
+		lo, hi := d.aff[p], d.aff[p+1]
+		sp := d.rhs[p]
+		// The prefix fills forward from lo, the suffix backward from hi.
+		w := lo
+		for i := sp.lo; i < sp.hi && w < hi; i++ {
+			if ref := d.refs[i]; ref >= 0 {
+				w += copy(d.pre[w:hi], d.pre[d.aff[ref]:d.aff[ref+1]])
 			} else {
-				pre = append(pre, rhs.Terminals[i])
+				d.pre[w] = d.terms[i]
+				w++
 			}
 		}
-		suf := make([]uint64, 0, d.maxAffix)
-		for i := rhs.Len() - 1; i >= 0 && len(suf) < d.maxAffix; i-- {
-			// Build the suffix reversed, then flip once at the end.
-			if ref := rhs.Refs[i]; ref != nil {
-				rs := d.suffixes[ref.id]
-				for j := len(rs) - 1; j >= 0 && len(suf) < d.maxAffix; j-- {
-					suf = append(suf, rs[j])
-				}
+		w = hi
+		for i := sp.hi - 1; i >= sp.lo && w > lo; i-- {
+			if ref := d.refs[i]; ref >= 0 {
+				rs := d.suf[d.aff[ref]:d.aff[ref+1]]
+				n := min(len(rs), w-lo)
+				w -= copy(d.suf[w-n:w], rs[len(rs)-n:])
 			} else {
-				suf = append(suf, rhs.Terminals[i])
+				w--
+				d.suf[w] = d.terms[i]
 			}
 		}
-		reverse(suf)
-		d.prefixes[r.id] = pre
-		d.suffixes[r.id] = suf
 	}
 }
 
-func reverse(s []uint64) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
+// refsOf returns the references of rule p's right-hand side (-1 at
+// terminals).
+func (d *DAG) refsOf(p int) []int32 {
+	sp := d.rhs[p]
+	return d.refs[sp.lo:sp.hi]
 }
 
-// Prefix returns the first n terminals of r's expansion (fewer if the
+// Len returns the number of rules, the root included.
+func (d *DAG) Len() int { return len(d.Order) }
+
+// Pos returns rule r's postorder position.
+func (d *DAG) Pos(r *Rule) int { return int(d.pos[r.self]) }
+
+// Occ returns the number of occurrences of rule p's expansion in the full
+// input string.
+func (d *DAG) Occ(p int) uint64 { return d.occ[p] }
+
+// ExpLen returns the expansion length of rule p in terminals.
+func (d *DAG) ExpLen(p int) uint64 { return d.Order[p].expLen }
+
+// RHSLen returns the number of right-hand-side positions of rule p.
+func (d *DAG) RHSLen(p int) int {
+	sp := d.rhs[p]
+	return int(sp.hi - sp.lo)
+}
+
+// Elem returns position i of rule p's right-hand side: the referenced
+// rule's position and true, or a terminal value and false.
+func (d *DAG) Elem(p, i int) (uint64, bool) {
+	s := int(d.rhs[p].lo) + i
+	if ref := d.refs[s]; ref >= 0 {
+		return uint64(ref), true
+	}
+	return d.terms[s], false
+}
+
+// Prefix returns the first n terminals of rule p's expansion (fewer if the
 // expansion is shorter). n must not exceed the maxAffix given to NewDAG.
-func (d *DAG) Prefix(r *Rule, n int) []uint64 {
-	p := d.prefixes[r.id]
-	if n > len(p) {
-		n = len(p)
-	}
-	return p[:n]
+func (d *DAG) Prefix(p, n int) []uint64 {
+	a := d.pre[d.aff[p]:d.aff[p+1]]
+	return a[:min(n, len(a))]
 }
 
-// Suffix returns the last n terminals of r's expansion.
-func (d *DAG) Suffix(r *Rule, n int) []uint64 {
-	s := d.suffixes[r.id]
-	if n > len(s) {
-		n = len(s)
+// Suffix returns the last n terminals of rule p's expansion.
+func (d *DAG) Suffix(p, n int) []uint64 {
+	a := d.suf[d.aff[p]:d.aff[p+1]]
+	return a[len(a)-min(n, len(a)):]
+}
+
+// Expand returns the represented sequence: the expansion of the root.
+// Each rule is expanded from its right-hand side only at its first
+// occurrence; every later occurrence copies the terminals that first
+// one wrote, so the work beyond one pass over the grammar is a memmove
+// per repeated occurrence. It uses an explicit stack, so arbitrarily deep
+// grammars cannot overflow the goroutine stack.
+func (d *DAG) Expand() []uint64 {
+	root := d.pos[d.G.root.self]
+	out := make([]uint64, d.ExpLen(int(root)))
+	// at[p] is one past where rule p's first expansion starts in out,
+	// zero until it has one.
+	at := make([]int, len(d.Order))
+	stack := make([]span, 1, 64)
+	stack[0] = d.rhs[root]
+	w := 0
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.lo == top.hi {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		i := top.lo
+		top.lo++
+		ref := d.refs[i]
+		if ref < 0 {
+			out[w] = d.terms[i]
+			w++
+			continue
+		}
+		if a := at[ref]; a > 0 {
+			w += copy(out[w:], out[a-1:a-1+int(d.Order[ref].expLen)])
+			continue
+		}
+		at[ref] = w + 1
+		stack = append(stack, d.rhs[ref])
 	}
-	return s[len(s)-n:]
+	return out
 }
 
 // Stats summarizes representation size, the quantities Figure 5 plots.
@@ -232,36 +354,63 @@ func (s Stats) CompressionRatio() float64 {
 	return float64(s.InputLen) / float64(s.Symbols)
 }
 
-// ComputeStats sizes the grammar.
+// ComputeStats sizes the grammar. ASCIIBytes is counted, not rendered:
+// it equals the number of bytes WriteASCII writes.
 func (d *DAG) ComputeStats() Stats {
-	st := Stats{Rules: d.G.nRules, InputLen: d.G.input}
-	terms := make(map[uint64]struct{})
-	d.G.eachRule(func(r *Rule) {
-		rhs := d.RHS[r.id]
-		st.Symbols += rhs.Len()
-		st.ASCIIBytes += asciiRuleSize(r.id, rhs)
-		for i, ref := range rhs.Refs {
-			if ref == nil {
-				terms[rhs.Terminals[i]] = struct{}{}
+	st := Stats{Rules: d.G.nRules, InputLen: d.G.input, Symbols: len(d.refs)}
+	terms := newTermSet(len(d.refs))
+	for p, r := range d.Order {
+		st.ASCIIBytes += decimalLen(r.id) + 4 // "id ->" plus newline
+		sp := d.rhs[p]
+		for i := sp.lo; i < sp.hi; i++ {
+			if ref := d.refs[i]; ref >= 0 {
+				st.ASCIIBytes += decimalLen(d.Order[ref].id) + 2 // " R" and the id
+			} else {
+				st.ASCIIBytes += decimalLen(d.terms[i]) + 1 // " " and the value
+				terms.add(d.terms[i])
 			}
 		}
-	})
-	st.Terminals = len(terms)
+	}
+	st.Terminals = terms.n
 	return st
 }
 
-// asciiRuleSize computes the byte length of one rule in the textual
-// rendering without materializing it.
-func asciiRuleSize(id uint64, rhs RHS) uint64 {
-	n := uint64(len(fmt.Sprintf("%d", id))) + 4 // "id -> "... plus newline
-	for i, ref := range rhs.Refs {
-		if ref != nil {
-			n += uint64(len(fmt.Sprintf("R%d", ref.id))) + 1
-		} else {
-			n += uint64(len(fmt.Sprintf("%d", rhs.Terminals[i]))) + 1
-		}
+// decimalLen returns the number of decimal digits in v.
+func decimalLen(v uint64) uint64 {
+	n := uint64(1)
+	for ; v >= 10; v /= 10 {
+		n++
 	}
 	return n
+}
+
+// termSet counts distinct terminal values: an open-addressed set of
+// value+1 (terminals stay below 1<<62, so 0 marks an empty slot), sized
+// once for at most max values.
+type termSet struct {
+	slots []uint64
+	shift uint
+	n     int
+}
+
+func newTermSet(max int) termSet {
+	b := bits.Len(uint(2*max) | 1)
+	return termSet{slots: make([]uint64, 1<<b), shift: uint(64 - b)}
+}
+
+func (t *termSet) add(v uint64) {
+	k := v + 1
+	mask := uint64(len(t.slots) - 1)
+	for i := (k * 0x9e3779b97f4a7c15) >> t.shift; ; i = (i + 1) & mask {
+		switch t.slots[i] {
+		case k:
+			return
+		case 0:
+			t.slots[i] = k
+			t.n++
+			return
+		}
+	}
 }
 
 // WriteASCII renders the grammar in a stable, human-readable form:
@@ -274,18 +423,17 @@ func asciiRuleSize(id uint64, rhs RHS) uint64 {
 func (d *DAG) WriteASCII(w io.Writer) (int64, error) {
 	var total int64
 	for _, r := range d.G.liveRulesSorted() {
-		id := r.id
-		rhs := d.RHS[id]
-		n, err := fmt.Fprintf(w, "%d ->", id)
+		n, err := fmt.Fprintf(w, "%d ->", r.id)
 		total += int64(n)
 		if err != nil {
 			return total, err
 		}
-		for i, ref := range rhs.Refs {
-			if ref != nil {
-				n, err = fmt.Fprintf(w, " R%d", ref.id)
+		sp := d.rhs[d.pos[r.self]]
+		for i := sp.lo; i < sp.hi; i++ {
+			if ref := d.refs[i]; ref >= 0 {
+				n, err = fmt.Fprintf(w, " R%d", d.Order[ref].id)
 			} else {
-				n, err = fmt.Fprintf(w, " %d", rhs.Terminals[i])
+				n, err = fmt.Fprintf(w, " %d", d.terms[i])
 			}
 			total += int64(n)
 			if err != nil {

@@ -3,13 +3,14 @@ package sequitur
 import (
 	"bytes"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 )
 
 // TestDAGConcurrentReaders exercises every DAG read path from many
 // goroutines at once. The DAG is documented immutable after NewDAG (all
-// memoization — affixes, occurrence counts, the postorder index — is
+// memoization — affixes, occurrence counts, the postorder positions — is
 // eager), which the parallel analysis engine relies on; this test keeps
 // that honest under -race.
 func TestDAGConcurrentReaders(t *testing.T) {
@@ -26,6 +27,7 @@ func TestDAGConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBin := d.BinarySize()
+	wantSeq := d.Expand()
 
 	const readers = 8
 	var wg sync.WaitGroup
@@ -35,11 +37,15 @@ func TestDAGConcurrentReaders(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for iter := 0; iter < 20; iter++ {
-				for _, rule := range d.Order {
-					_ = d.Prefix(rule, 10)
-					_ = d.Suffix(rule, 10)
-					_ = d.ExpLen(rule)
-					_ = d.Occ[rule.ID()]
+				for p := range d.Order {
+					_ = d.Prefix(p, 10)
+					_ = d.Suffix(p, 10)
+					_ = d.ExpLen(p)
+					_ = d.Occ(p)
+				}
+				if !slices.Equal(d.Expand(), wantSeq) {
+					errs[r] = io.ErrShortWrite
+					return
 				}
 				if got := d.BinarySize(); got != wantBin {
 					errs[r] = io.ErrShortWrite

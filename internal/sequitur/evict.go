@@ -8,7 +8,7 @@ package sequitur
 // Evicting a rule inlines a copy of its right-hand side at every use
 // site and deletes the rule. The expansion of every surviving rule — in
 // particular the root, i.e. the represented input sequence — is exactly
-// preserved, so Walk/Expand and every measurement pass over the
+// preserved, so Expand and every measurement pass over the
 // regenerated sequence remain exact. What is given up is compression
 // state: the inlined copies duplicate digrams, so the grammar leaves the
 // strict SEQUITUR invariant regime ("relaxed" mode). The digram table

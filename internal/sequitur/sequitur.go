@@ -506,38 +506,15 @@ func (g *Grammar) Rules() map[uint64]*Rule {
 	return out
 }
 
-// Expand reconstructs the full input sequence by expanding the root rule.
-// It is intended for tests and small sequences; the analysis layer streams
-// instead (see Walk).
+// Expand reconstructs the full input sequence: the expansion of the
+// root, as NewDAG(g, 1).Expand() computes it. The grammar stays
+// appendable: NewDAG fills the rules' expansion-length caches, and of
+// those only the root's can go stale, since appending grows the root's
+// expansion and no other rule's, so Expand clears it again.
 func (g *Grammar) Expand() []uint64 {
-	out := make([]uint64, 0, g.input)
-	g.Walk(func(v uint64) bool {
-		out = append(out, v)
-		return true
-	})
+	out := NewDAG(g, 1).Expand()
+	g.root.expLen = 0
 	return out
-}
-
-// Walk streams the expansion of the root rule to yield in order, stopping
-// early if yield returns false. It uses an explicit stack, so arbitrarily
-// deep grammars cannot overflow the goroutine stack.
-func (g *Grammar) Walk(yield func(v uint64) bool) {
-	stack := []symID{g.root.first()}
-	for len(stack) > 0 {
-		s := g.at(stack[len(stack)-1])
-		if s.isGuard() {
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		stack[len(stack)-1] = s.next
-		if s.rule != nilRule {
-			stack = append(stack, g.ruleAt(s.rule).first())
-			continue
-		}
-		if !yield(s.value) {
-			return
-		}
-	}
 }
 
 // CheckInvariants verifies the grammar's structural invariants — digram

@@ -40,11 +40,11 @@ func TestPaperFigure3Grammar(t *testing.T) {
 	}
 	d := NewDAG(g, 100)
 	expansions := map[string]bool{}
-	for _, r := range d.Order {
+	for p, r := range d.Order {
 		if r == g.Root() {
 			continue
 		}
-		full := expandRule(d, r)
+		full := expandRule(d, p)
 		expansions[string(lettersOf(full))] = true
 	}
 	if !expansions["bc"] {
@@ -63,14 +63,13 @@ func lettersOf(vs []uint64) []byte {
 	return out
 }
 
-func expandRule(d *DAG, r *Rule) []uint64 {
-	rhs := d.RHS[r.ID()]
+func expandRule(d *DAG, p int) []uint64 {
 	var out []uint64
-	for i, ref := range rhs.Refs {
-		if ref == nil {
-			out = append(out, rhs.Terminals[i])
+	for i := 0; i < d.RHSLen(p); i++ {
+		if v, isRule := d.Elem(p, i); isRule {
+			out = append(out, expandRule(d, int(v))...)
 		} else {
-			out = append(out, expandRule(d, ref)...)
+			out = append(out, v)
 		}
 	}
 	return out
@@ -134,15 +133,19 @@ func TestAppendReservedBitPanics(t *testing.T) {
 	New().Append(ntBit | 5)
 }
 
-func TestWalkEarlyStop(t *testing.T) {
-	g := build(t, "abcabcabc")
-	var n int
-	g.Walk(func(v uint64) bool {
-		n++
-		return n < 4
-	})
-	if n != 4 {
-		t.Errorf("walk visited %d, want 4", n)
+// TestExpandThenAppend: expanding a grammar mid-stream leaves it
+// appendable, with no expansion-length cache the next Append makes stale.
+func TestExpandThenAppend(t *testing.T) {
+	g := build(t, "abcabcabcabd")
+	if got := g.Expand(); !reflect.DeepEqual(got, sym("abcabcabcabd")) {
+		t.Fatalf("expand = %v", got)
+	}
+	g.AppendAll(sym("abcabd"))
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatalf("after expand and append: %v", err)
+	}
+	if got := g.Expand(); !reflect.DeepEqual(got, sym("abcabcabcabdabcabd")) {
+		t.Fatalf("expand after append = %v", got)
 	}
 }
 
@@ -150,34 +153,34 @@ func TestDAGOccAndLens(t *testing.T) {
 	g := build(t, "abcabcabc")
 	d := NewDAG(g, 100)
 	// Root occurs once and expands to 9 terminals.
-	if d.Occ[g.Root().ID()] != 1 {
-		t.Errorf("root occ = %d", d.Occ[g.Root().ID()])
+	root := d.Pos(g.Root())
+	if d.Occ(root) != 1 {
+		t.Errorf("root occ = %d", d.Occ(root))
 	}
-	if d.ExpLen(g.Root()) != 9 {
-		t.Errorf("root expLen = %d, want 9", d.ExpLen(g.Root()))
+	if d.ExpLen(root) != 9 {
+		t.Errorf("root expLen = %d, want 9", d.ExpLen(root))
 	}
 	// Every non-root rule's occurrences times its uses relation: occ must
 	// be >= 2 (rule utility) and expansion of all rules reconstructs.
-	for _, r := range d.Order {
+	for p, r := range d.Order {
 		if r == g.Root() {
 			continue
 		}
-		if d.Occ[r.ID()] < 2 {
-			t.Errorf("rule %d occ = %d, want >= 2", r.ID(), d.Occ[r.ID()])
+		if d.Occ(p) < 2 {
+			t.Errorf("rule %d occ = %d, want >= 2", r.ID(), d.Occ(p))
 		}
 	}
 	// Sum over rules of occ * (terminals directly in RHS) must equal the
 	// input length.
 	var total uint64
-	for _, r := range d.Order {
-		rhs := d.RHS[r.ID()]
+	for p := range d.Order {
 		var direct uint64
-		for _, ref := range rhs.Refs {
-			if ref == nil {
+		for i := 0; i < d.RHSLen(p); i++ {
+			if _, isRule := d.Elem(p, i); !isRule {
 				direct++
 			}
 		}
-		total += direct * d.Occ[r.ID()]
+		total += direct * d.Occ(p)
 	}
 	if total != g.InputLen() {
 		t.Errorf("terminal mass %d != input length %d", total, g.InputLen())
@@ -187,7 +190,7 @@ func TestDAGOccAndLens(t *testing.T) {
 func TestDAGPrefixSuffix(t *testing.T) {
 	g := build(t, "abcdeabcde")
 	d := NewDAG(g, 3)
-	root := g.Root()
+	root := d.Pos(g.Root())
 	if got := d.Prefix(root, 3); !reflect.DeepEqual(got, sym("abc")) {
 		t.Errorf("prefix = %v, want abc", got)
 	}
@@ -207,7 +210,7 @@ func TestTopoOrderChildrenFirst(t *testing.T) {
 		pos[r.ID()] = i
 	}
 	for _, r := range d.Order {
-		for _, ref := range d.RHS[r.ID()].Refs {
+		for _, ref := range r.RHS().Refs {
 			if ref != nil && pos[ref.ID()] >= pos[r.ID()] {
 				t.Fatalf("rule %d referenced rule %d does not precede it", r.ID(), ref.ID())
 			}

@@ -140,7 +140,7 @@ func TestEndToEndOnWorkload(t *testing.T) {
 	wref := hotstream.NewDAGSource(wps.Build(res.Names, wps.DefaultOptions()).DAG)
 	cfg := hotstream.Config{MinLen: 2, MaxLen: 100, Heat: 100}
 	streams := hotstream.Detect(wref, cfg)
-	meas := hotstream.Measure(hotstream.SliceSource(res.Names), streams, cfg, 0, false)
+	meas := hotstream.Measure(res.Names, streams, cfg, 0, false)
 	cors := Correlate(pt, subs, res.Names, meas.Streams)
 	if len(cors) != len(subs) {
 		t.Fatalf("correlations = %d, want %d", len(cors), len(subs))

@@ -67,13 +67,9 @@ func Build(names []uint64, opts Options) *WPS {
 // Size reports the representation's size statistics (Figure 5's WPS bars).
 func (w *WPS) Size() sequitur.Stats { return w.DAG.ComputeStats() }
 
-// Walk streams the regenerated reference sequence without materializing
-// it. yield returns false to stop early.
-func (w *WPS) Walk(yield func(name uint64) bool) { w.Grammar.Walk(yield) }
-
 // Regenerate materializes the full abstracted reference sequence. Intended
 // for the reduction pipeline and tests.
-func (w *WPS) Regenerate() []uint64 { return w.Grammar.Expand() }
+func (w *WPS) Regenerate() []uint64 { return w.DAG.Expand() }
 
 // WriteASCII renders the grammar in the textual form whose size the paper
 // reports for WPS representations.

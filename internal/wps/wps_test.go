@@ -29,19 +29,6 @@ func TestBuildAndRegenerate(t *testing.T) {
 	}
 }
 
-func TestWalkStreams(t *testing.T) {
-	in := names(1000, 5)
-	w := Build(in, DefaultOptions())
-	var got []uint64
-	w.Walk(func(v uint64) bool {
-		got = append(got, v)
-		return len(got) < 10
-	})
-	if !reflect.DeepEqual(got, in[:10]) {
-		t.Errorf("walk prefix = %v", got)
-	}
-}
-
 func TestSizeCompressesRegularInput(t *testing.T) {
 	in := names(100_000, 9)
 	w := Build(in, DefaultOptions())
