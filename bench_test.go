@@ -187,8 +187,10 @@ func BenchmarkCacheSimulation(b *testing.B) {
 // ---- Ablation benches (DESIGN.md §4). ----
 
 // BenchmarkAblationSequitur1 compares classic SEQUITUR with the
-// SEQUITUR(k) variant (§3.2: Larus reported the lookahead grammars are
-// "not significantly smaller"). The reported metric is the grammar-size
+// SEQUITUR(k) rule-promotion variant at k=3, which delays rule creation
+// to a digram's third sighting. §3.2 reports that Larus's SEQUITUR(1)
+// lookahead grammars are "not significantly smaller"; this asks the
+// same of the threshold variant. The reported metric is the grammar-size
 // ratio of the k=3 variant to classic.
 func BenchmarkAblationSequitur1(b *testing.B) {
 	buf := benchTrace(b, "197.parser")

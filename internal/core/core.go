@@ -22,7 +22,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/pipeline"
 	"repro/internal/reduce"
-	"repro/internal/sequitur"
 	"repro/internal/trace"
 )
 
@@ -51,8 +50,6 @@ type Options struct {
 	// unit-uniform-access multiple, bypassing the coverage-driven
 	// search (useful for exploration; zero means search).
 	FixedHeatMultiple uint64
-	// SequiturMinRuleOccurrences > 2 enables the SEQUITUR(k) ablation.
-	SequiturMinRuleOccurrences int
 	// SkipPotential disables the four cache simulations of Figure 9
 	// (they dominate runtime for large traces when only representation
 	// results are wanted).
@@ -101,9 +98,6 @@ func (o *Options) normalize() {
 	}
 	if o.Cache.Size == 0 {
 		o.Cache = cache.FullyAssociative8K
-	}
-	if o.SequiturMinRuleOccurrences < 2 {
-		o.SequiturMinRuleOccurrences = 2
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
@@ -260,7 +254,6 @@ func analyzeAbstracted(reg *obs.Registry, stats trace.Stats, res *abstract.Resul
 				CoverageTarget: opts.CoverageTarget,
 				FixedMultiple:  opts.FixedHeatMultiple,
 				Levels:         opts.ReduceLevels,
-				Sequitur:       sequitur.Options{MinRuleOccurrences: opts.SequiturMinRuleOccurrences},
 			})
 			a.AnalysisTime = time.Since(start)
 			return nil

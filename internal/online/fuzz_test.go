@@ -152,7 +152,7 @@ var offsetRE = regexp.MustCompile(`at offset (\d+)`)
 // every byte: each decoder must fail, never with a bare io.EOF, and
 // must name an offset inside the bytes it was given.
 func TestDecodersReportTruncation(t *testing.T) {
-	e := NewEngine(Options{Sequitur: sequitur.Options{MinRuleOccurrences: 3}})
+	e := NewEngine(Options{})
 	e.Ingest(genTrace(t, "197.parser", 400).Events())
 	var state, wps bytes.Buffer
 	if _, err := e.WriteState(&state); err != nil {

@@ -71,8 +71,6 @@ type Options struct {
 	// BlockSize is the cache block size for packing-efficiency metrics
 	// (paper: 64).
 	BlockSize int
-	// Sequitur forwards compressor options (SEQUITUR(k) ablation).
-	Sequitur sequitur.Options
 	// MaxRules bounds the live grammar's rule table: after any chunk
 	// that leaves more rules live, the coldest are evicted. 0 disables
 	// eviction and makes snapshots bit-identical to the batch pipeline.
@@ -100,9 +98,6 @@ func (o *Options) normalize() {
 	if o.BlockSize <= 0 {
 		o.BlockSize = 64
 	}
-	if o.Sequitur.MinRuleOccurrences < 2 {
-		o.Sequitur.MinRuleOccurrences = 2
-	}
 	if o.MaxRules < 0 {
 		o.MaxRules = 0
 	}
@@ -124,7 +119,6 @@ type Engine struct {
 	events    uint64
 	chunks    uint64
 	evictions uint64
-	dagFresh  bool // grammar unchanged since the last Snapshot's DAG
 
 	// searched is the threshold the last search returned, and searchedAt
 	// the event count it was computed at (valid only when searchedOK). A
@@ -158,7 +152,7 @@ func NewEngine(opts Options) *Engine {
 	e := &Engine{
 		opts: opts,
 		acc:  trace.NewStatsAccum(),
-		g:    sequitur.NewWithOptions(opts.Sequitur),
+		g:    sequitur.New(),
 	}
 	e.abs = abstract.New(opts.HeapNaming).SinkStreamer(e.appendName)
 	reg := opts.registry()
@@ -192,7 +186,6 @@ func (e *Engine) Ingest(events []trace.Event) {
 	if len(events) == 0 {
 		return
 	}
-	e.beginAppend()
 	for _, ev := range events {
 		e.acc.Add(ev)
 		e.abs.Process(ev)
@@ -227,17 +220,6 @@ func (e *Engine) IngestReader(r io.Reader) (uint64, error) {
 		if e.appendErr != nil {
 			return total, e.appendErr
 		}
-	}
-}
-
-// beginAppend invalidates the grammar's DAG-layer caches before new
-// terminals arrive: snapshots alternate with appends, and a stale
-// expansion-length cache would otherwise be reported as corruption by
-// the sanitizer (and trusted by the next DAG build).
-func (e *Engine) beginAppend() {
-	if e.dagFresh {
-		e.g.ResetAnalysisCaches()
-		e.dagFresh = false
 	}
 }
 
@@ -306,7 +288,6 @@ func (e *Engine) Snapshot() *Snapshot {
 		}},
 		pipeline.Stage{Name: pipeline.StageSequitur, Run: func() error {
 			dag := sequitur.NewDAG(e.g, e.opts.MaxStreamLen)
-			e.dagFresh = true
 			dsrc = hotstream.NewDAGSource(dag)
 			grammar = dag.ComputeStats()
 			seq = dag.Expand()

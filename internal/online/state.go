@@ -68,7 +68,7 @@ func (o Options) stateHeader() []uint64 {
 		math.Float64bits(o.CoverageTarget),
 		o.FixedHeatMultiple,
 		uint64(o.BlockSize),
-		uint64(o.Sequitur.MinRuleOccurrences),
+		2, // min rule occurrences: live grammars are classic SEQUITUR
 		uint64(o.MaxRules),
 	}
 }

@@ -3,15 +3,13 @@ package online
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/sequitur"
 )
 
 // TestEngineStateHandoff pins the invariant drain/rebalance relies on:
 // ingest half a trace, serialize the engine, restore it, ingest the
 // rest — the final snapshot must be byte-identical to an engine that
-// saw the whole stream uninterrupted. Exercised across naming modes,
-// SEQUITUR variants, and eviction settings (eviction included: each
+// saw the whole stream uninterrupted. Exercised across naming modes
+// and eviction settings (eviction included: each
 // layer's codec is exact, so even relaxed grammars continue
 // identically).
 func TestEngineStateHandoff(t *testing.T) {
@@ -20,7 +18,6 @@ func TestEngineStateHandoff(t *testing.T) {
 		opts Options
 	}{
 		{"default", Options{}},
-		{"sequitur3", Options{Sequitur: sequitur.Options{MinRuleOccurrences: 3}}},
 		{"site-only", Options{HeapNaming: 1}},
 		{"evicting", Options{MaxRules: 64}},
 		{"fixed-heat", Options{FixedHeatMultiple: 4}},
@@ -212,7 +209,6 @@ func TestEngineStateOptionMismatch(t *testing.T) {
 		{"max rules", Options{MaxRules: 32}},
 		{"block size", Options{BlockSize: 128}},
 		{"coverage", Options{CoverageTarget: 0.5}},
-		{"sequitur k", Options{Sequitur: sequitur.Options{MinRuleOccurrences: 3}}},
 		{"fixed heat", Options{FixedHeatMultiple: 2}},
 		{"stream window", Options{MinStreamLen: 3}},
 	} {

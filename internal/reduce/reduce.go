@@ -16,7 +16,6 @@ import (
 	"repro/internal/hotstream"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/sequitur"
 	"repro/internal/sfg"
 	"repro/internal/wps"
 )
@@ -34,8 +33,6 @@ type Options struct {
 	// Levels is the number of reduction iterations: 1 produces WPS₀ and
 	// WPS₁ (the paper's configuration); 0 stops at WPS₀.
 	Levels int
-	// Sequitur forwards compressor options (SEQUITUR(k) ablation).
-	Sequitur sequitur.Options
 }
 
 // DefaultOptions mirrors the paper: one reduction level, and the zero
@@ -108,7 +105,7 @@ func Run(reg *obs.Registry, names []uint64, totalAddrs uint64, opts Options) *Pi
 	for lvl := 0; lvl <= opts.Levels; lvl++ {
 		var w *wps.WPS
 		_ = pipeline.Time(reg, pipeline.StageSequitur, func() error {
-			w = wps.Build(cur, wps.Options{MaxStreamLen: scfg.MaxLen, Sequitur: opts.Sequitur})
+			w = wps.Build(cur, wps.Options{MaxStreamLen: scfg.MaxLen})
 			return nil
 		})
 		level := Level{Index: lvl, WPS: w}

@@ -258,7 +258,6 @@ func (a *arena) freeRule(r *Rule) {
 	r.guard = nilSym
 	r.self = nilRule
 	r.uses = 0
-	r.expLen = 0
 	r.id = 0
 	a.growFreeRules(r)
 }

@@ -19,9 +19,8 @@ import (
 // subsequences.
 //
 // Rules are named by their postorder position: Order[p] is the rule at
-// position p, and every per-rule quantity is a flat slice indexed by p,
-// except the expansion length, which stays in the rule's own cache (the
-// sanitizer checks it there).
+// position p, and every per-rule quantity is a flat slice indexed by p.
+// Building a DAG writes nothing into the grammar.
 // Right-hand sides are copied out of the grammar's linked symbol arena
 // into two shared backings (rule references as positions, and terminal
 // values), and the prefix/suffix affixes share two more, so building a
@@ -43,8 +42,9 @@ type DAG struct {
 	// and a rule's index here is its position.
 	Order []*Rule
 
-	pos []int32 // Rule.self -> position
-	occ []uint64
+	pos  []int32 // Rule.self -> position
+	occ  []uint64
+	lens []uint64
 	// Rule p's right-hand side is refs/terms[rhs[p].lo:rhs[p].hi]: at
 	// each symbol, refs holds the referenced rule's position, or -1 for
 	// a terminal whose value terms holds.
@@ -189,16 +189,17 @@ func (d *DAG) computeOcc() {
 
 // computeLens fills each rule's expansion length, children first.
 func (d *DAG) computeLens() {
-	for p, r := range d.Order {
+	d.lens = make([]uint64, len(d.Order))
+	for p := range d.Order {
 		var n uint64
 		for _, ref := range d.refsOf(p) {
 			if ref < 0 {
 				n++
 			} else {
-				n += d.Order[ref].expLen
+				n += d.lens[ref]
 			}
 		}
-		r.expLen = n
+		d.lens[p] = n
 	}
 }
 
@@ -207,8 +208,8 @@ func (d *DAG) computeLens() {
 // affixes' total length.
 func (d *DAG) computeAffixes() {
 	d.aff = make([]int, len(d.Order)+1)
-	for p, r := range d.Order {
-		d.aff[p+1] = d.aff[p] + int(min(r.expLen, uint64(d.maxAffix)))
+	for p, n := range d.lens {
+		d.aff[p+1] = d.aff[p] + int(min(n, uint64(d.maxAffix)))
 	}
 	total := d.aff[len(d.Order)]
 	d.pre = make([]uint64, total)
@@ -258,7 +259,7 @@ func (d *DAG) Pos(r *Rule) int { return int(d.pos[r.self]) }
 func (d *DAG) Occ(p int) uint64 { return d.occ[p] }
 
 // ExpLen returns the expansion length of rule p in terminals.
-func (d *DAG) ExpLen(p int) uint64 { return d.Order[p].expLen }
+func (d *DAG) ExpLen(p int) uint64 { return d.lens[p] }
 
 // RHSLen returns the number of right-hand-side positions of rule p.
 func (d *DAG) RHSLen(p int) int {
@@ -319,7 +320,7 @@ func (d *DAG) Expand() []uint64 {
 			continue
 		}
 		if a := at[ref]; a > 0 {
-			w += copy(out[w:], out[a-1:a-1+int(d.Order[ref].expLen)])
+			w += copy(out[w:], out[a-1:a-1+int(d.lens[ref])])
 			continue
 		}
 		at[ref] = w + 1

@@ -14,10 +14,7 @@ import (
 
 // refDAG is the map-based DAG construction the flat DAG replaced, kept
 // as an oracle: rules keyed by ID in maps, right-hand sides materialized
-// per rule, affixes as one slice per rule. The one departure from the
-// original is that expansion lengths go into lens instead of the rules'
-// shared expLen caches, so comparing the two cannot read the DAG's own
-// values back.
+// per rule, affixes as one slice per rule, expansion lengths in a map.
 type refDAG struct {
 	G        *Grammar
 	Order    []*Rule

@@ -187,12 +187,3 @@ func (g *Grammar) registerIfAbsent(si symID) {
 	}
 	g.digrams.lookupOrInsert(digram{s.value, n.value}, si)
 }
-
-// ResetAnalysisCaches clears the per-rule expansion-length caches the
-// DAG layer populates. Callers that alternate DAG snapshots with further
-// Appends (the online engine) must reset before appending so stale
-// caches are neither trusted nor reported as corruption by the
-// sanitizer.
-func (g *Grammar) ResetAnalysisCaches() {
-	g.eachRule(func(r *Rule) { r.expLen = 0 })
-}

@@ -154,14 +154,3 @@ func TestEvictFrozenPanics(t *testing.T) {
 	}()
 	frozen.EvictColdRules(1)
 }
-
-func TestResetAnalysisCaches(t *testing.T) {
-	g := New()
-	g.AppendAll(evictionInput(1200, 21))
-	NewDAG(g, 100) // populates expLen caches
-	g.ResetAnalysisCaches()
-	g.AppendAll(evictionInput(400, 22))
-	if err := CheckInvariants(g); err != nil {
-		t.Fatalf("stale caches after reset+append: %v", err)
-	}
-}

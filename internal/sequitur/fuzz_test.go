@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzExpandIdentity fuzzes the core SEQUITUR invariant: for any input,
-// the grammar expands back to it and maintains digram uniqueness and rule
-// utility.
+// the grammar expands back to it, maintains digram uniqueness and rule
+// utility, and is the grammar the naive SEQUITUR (naive_test.go) builds.
 func FuzzExpandIdentity(f *testing.F) {
 	f.Add([]byte("abcbcabcabc"))
 	f.Add([]byte("abbbabcbb"))
@@ -35,6 +35,11 @@ func FuzzExpandIdentity(f *testing.F) {
 		}
 		if want := newRefDAG(g, 1).expand(g.Root()); !slices.Equal(got, want) {
 			t.Fatal("Expand differs from the reference's recursive expansion")
+		}
+		// The naive oracle is quadratic; past 1,024 symbols it would
+		// slow the fuzzer more than it adds.
+		if len(in) <= 1024 {
+			sameAsOracle(t, "input", g, in)
 		}
 	})
 }

@@ -52,10 +52,9 @@ const (
 //   - use counts: each rule's tracked reference count matches the actual
 //     number of nonterminals referencing it, and the root is never
 //     referenced;
-//   - expLen coherence: every non-zero expansion-length cache (populated by
-//     the DAG layer) matches a bottom-up recount, cycles in the rule
-//     reference graph are reported, and the root's expansion length matches
-//     the number of appended terminals.
+//   - expansion lengths: a bottom-up recount reports cycles in the rule
+//     reference graph, and the root's expansion length matches the number
+//     of appended terminals.
 //
 // It runs in O(total symbols) plus O(rules) for the expansion recount.
 func CheckInvariants(g *Grammar) error {
@@ -238,9 +237,7 @@ func CheckInvariants(g *Grammar) error {
 		return fmt.Errorf("sequitur: root rule referenced by %d nonterminals", uses[g.root.id])
 	}
 
-	// Expansion-length cache coherence: recount bottom-up with memoization
-	// and compare against every non-zero cache (zero means "not yet
-	// computed by the DAG layer").
+	// Expansion lengths: recount bottom-up with memoization.
 	memo := make(map[uint64]uint64, len(rules))
 	state := make(map[uint64]int, len(rules)) // 1 = in progress, 2 = done
 	var lenOf func(r *Rule) (uint64, error)
@@ -273,13 +270,9 @@ func CheckInvariants(g *Grammar) error {
 		memo[r.id] = total
 		return total, nil
 	}
-	for id, r := range rules {
-		want, err := lenOf(r)
-		if err != nil {
+	for _, r := range rules {
+		if _, err := lenOf(r); err != nil {
 			return err
-		}
-		if r.expLen != 0 && r.expLen != want {
-			return fmt.Errorf("sequitur: rule %d expansion-length cache %d != actual %d", id, r.expLen, want)
 		}
 	}
 	if rootLen := memo[g.root.id]; rootLen != g.input {

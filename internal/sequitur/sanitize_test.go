@@ -57,7 +57,7 @@ func TestCheckInvariantsCleanGrammars(t *testing.T) {
 	if err := CheckInvariants(g); err != nil {
 		t.Fatalf("fresh grammar: %v", err)
 	}
-	// DAG construction fills the expLen caches; they must cohere.
+	// DAG construction writes nothing into the grammar.
 	NewDAG(g, 8)
 	if err := CheckInvariants(g); err != nil {
 		t.Fatalf("after DAG: %v", err)
@@ -153,14 +153,6 @@ func TestCheckInvariantsCorruption(t *testing.T) {
 				g.at(nonRoot(t, g).guard).rule = nilRule
 			},
 			want: "guard node corrupt",
-		},
-		{
-			name: "expansion length cache",
-			corrupt: func(t *testing.T, g *Grammar) {
-				NewDAG(g, 4) // populate the caches first
-				nonRoot(t, g).expLen += 7
-			},
-			want: "expansion-length cache",
 		},
 		{
 			name: "input length drift",

@@ -16,7 +16,7 @@
 // the Whole Program Stream representation analyzed without decompression.
 //
 // A dynamic sanitizer guards these invariants: CheckInvariants (sanitize.go)
-// sweeps a grammar for digram-table, link, use-count and cache corruption,
+// sweeps a grammar for digram-table, link, use-count and length corruption,
 // tests and fuzz targets call it directly, and building with the
 // repro_sanitize tag runs it after every Append in the hot construction
 // path.
@@ -62,12 +62,11 @@ func (s *symbol) isGuard() bool { return s.value&guardBit != 0 }
 // handed out by pointer (the analysis API exposes *Rule), but their
 // right-hand sides are arena symbols reached through the guard handle.
 type Rule struct {
-	g      *Grammar
-	id     uint64
-	expLen uint64 // analysis cache, populated lazily by the DAG layer
-	guard  symID
-	self   ruleID // this rule's slot in the arena's rule-slot table
-	uses   int32  // reference count from nonterminal symbols
+	g     *Grammar
+	id    uint64
+	guard symID
+	self  ruleID // this rule's slot in the arena's rule-slot table
+	uses  int32  // reference count from nonterminal symbols
 }
 
 // ID returns the rule's identifier. The root rule has ID 0.
@@ -99,11 +98,12 @@ type digram struct{ a, b uint64 }
 type Options struct {
 	// MinRuleOccurrences is the number of times a digram must be seen
 	// before a new rule is created for it. The classic algorithm uses 2.
-	// Setting 3 implements a conservative one-symbol-delay variant in the
-	// spirit of Larus's SEQUITUR(1) (§3.2), which waits before
-	// introducing a rule to eliminate a duplicate digram; the paper
-	// reports the resulting grammars are "not significantly smaller",
-	// which the ablation benchmark confirms for this variant too.
+	// Setting 3 delays rule creation to a digram's third sighting: a
+	// rule-promotion threshold, not the one-symbol lookahead of Larus's
+	// SEQUITUR(1) that §3.2 cites. The ablation benchmark asks of it
+	// what the paper asks of SEQUITUR(1): are the grammars
+	// significantly smaller? The variant is batch-only; the state codec
+	// (state.go) refuses it, so live grammars are classic SEQUITUR.
 	MinRuleOccurrences int
 }
 
@@ -508,17 +508,11 @@ func (g *Grammar) Rules() map[uint64]*Rule {
 
 // Expand reconstructs the full input sequence: the expansion of the
 // root, as NewDAG(g, 1).Expand() computes it. The grammar stays
-// appendable: NewDAG fills the rules' expansion-length caches, and of
-// those only the root's can go stale, since appending grows the root's
-// expansion and no other rule's, so Expand clears it again.
-func (g *Grammar) Expand() []uint64 {
-	out := NewDAG(g, 1).Expand()
-	g.root.expLen = 0
-	return out
-}
+// appendable.
+func (g *Grammar) Expand() []uint64 { return NewDAG(g, 1).Expand() }
 
 // CheckInvariants verifies the grammar's structural invariants — digram
-// uniqueness, rule utility, link and cache coherence — returning a
-// descriptive error on the first violation. It delegates to the
+// uniqueness, rule utility, link coherence, expansion lengths — returning
+// a descriptive error on the first violation. It delegates to the
 // package-level CheckInvariants; see sanitize.go for the full check list.
 func (g *Grammar) CheckInvariants() error { return CheckInvariants(g) }

@@ -158,7 +158,7 @@ func TestDAGOccAndLens(t *testing.T) {
 		t.Errorf("root occ = %d", d.Occ(root))
 	}
 	if d.ExpLen(root) != 9 {
-		t.Errorf("root expLen = %d, want 9", d.ExpLen(root))
+		t.Errorf("root ExpLen = %d, want 9", d.ExpLen(root))
 	}
 	// Every non-root rule's occurrences times its uses relation: occ must
 	// be >= 2 (rule utility) and expansion of all rules reconstructs.

@@ -15,22 +15,26 @@ import (
 // binary form (codec.go), which renumbers rules in postorder and drops
 // the digram index (loaded grammars are frozen), the state form
 // preserves everything Append's future behaviour depends on — original
-// rule IDs, the next-ID counter, the digram table, the SEQUITUR(k)
-// pending-digram counts, and the relaxed flag — so a grammar restored
-// on another shard continues exactly where the source left off:
+// rule IDs, the next-ID counter, the digram table, and the relaxed
+// flag — so a grammar restored on another shard continues exactly where
+// the source left off:
 // appending a sequence to the restored grammar produces structure
 // identical to appending it to the original. That holds for every live
 // grammar, including relaxed (evicted) ones, because the digram table
 // is serialized explicitly rather than rebuilt.
 //
-// Why explicit: for a canonical MinRuleOccurrences=2 grammar the table
-// is a pure function of structure (digram uniqueness; overlapping runs
-// register their first pair) and could be rebuilt by scanning rule
-// bodies. But SEQUITUR(k) deferral re-points entries at the most
-// recent sighting and leaves un-substituted early sightings behind,
-// and eviction unregisters digrams without structural trace — in both
-// regimes the table is history the structure cannot reproduce. Each
-// entry therefore travels as (digram, rule ID, position).
+// Why explicit: the table is history the structure cannot reproduce.
+// In a run "x x x" the table holds one of the two overlapping (x, x)
+// pairs, and which one depends on how the run formed (naive_test.go's
+// oracle models the rule); eviction unregisters digrams without
+// structural trace. Each entry therefore travels as (digram, rule ID,
+// position).
+//
+// Live grammars are classic SEQUITUR: the SEQUITUR(k) variant
+// (Options.MinRuleOccurrences > 2) is batch-only. The header keeps a
+// min-rule-occurrences field and the body a pending-digram count, and
+// both are always 2 and 0, so the classic state bytes are unchanged;
+// WriteState refuses a k > 2 grammar and ReadState any other value.
 //
 // Nothing on the wire names arena handles: rules travel by public ID
 // and table entries by (rule ID, RHS position), so the encoding is
@@ -41,13 +45,25 @@ var stateMagic = [4]byte{'W', 'P', 'S', 'L'} // "L" for live
 
 const stateVersion = 1
 
+// stateMinRuleOccurrences is the only min-rule-occurrences value the
+// state form carries.
+const stateMinRuleOccurrences = 2
+
 // symPos names one symbol occurrence: its owning rule and zero-based
 // position within that rule's right-hand side.
 type symPos struct{ rule, idx uint64 }
 
-// symbolPositions indexes every RHS symbol occurrence by handle.
-func (g *Grammar) symbolPositions() map[symID]symPos {
-	where := make(map[symID]symPos, int(g.input))
+// noPos marks a handle that sits in no right-hand side: a guard, a free
+// symbol, or the reserved nil handle. No real position reaches it.
+const noPos = math.MaxUint64
+
+// symbolPositions indexes every RHS symbol occurrence by handle; a slot
+// whose idx is noPos is in no rule body.
+func (g *Grammar) symbolPositions() []symPos {
+	where := make([]symPos, len(g.arena.syms))
+	for i := range where {
+		where[i].idx = noPos
+	}
 	g.eachRule(func(r *Rule) {
 		i := uint64(0)
 		for si := r.first(); !g.at(si).isGuard(); si = g.at(si).next {
@@ -60,10 +76,14 @@ func (g *Grammar) symbolPositions() map[symID]symPos {
 
 // WriteState encodes the grammar's full live state, returning the
 // number of bytes written. Frozen grammars (loaded with ReadBinary)
-// have no live state to write and are rejected.
+// have no live state to write and are rejected, as are SEQUITUR(k)
+// grammars with k > 2, which are batch-only.
 func (g *Grammar) WriteState(w io.Writer) (int64, error) {
 	if g.frozen {
 		return 0, errors.New("sequitur: frozen grammar has no live state")
+	}
+	if g.opts.MinRuleOccurrences != stateMinRuleOccurrences {
+		return 0, fmt.Errorf("sequitur: SEQUITUR(k) grammar (k = %d) has no live state", g.opts.MinRuleOccurrences)
 	}
 	// The digram table: every entry as (digram, occurrence locator),
 	// sorted by digram for determinism.
@@ -75,12 +95,11 @@ func (g *Grammar) WriteState(w io.Writer) (int64, error) {
 	entries := make([]tabEntry, 0, g.digrams.len())
 	var badEntry *digram
 	g.digrams.all(func(d digram, s symID) bool {
-		p, ok := where[s]
-		if !ok {
+		if int(s) >= len(where) || where[s].idx == noPos {
 			badEntry = &d
 			return false
 		}
-		entries = append(entries, tabEntry{d, p})
+		entries = append(entries, tabEntry{d, where[s]})
 		return true
 	})
 	if badEntry != nil {
@@ -89,7 +108,7 @@ func (g *Grammar) WriteState(w io.Writer) (int64, error) {
 	sort.Slice(entries, func(i, j int) bool { return digramLess(entries[i].d, entries[j].d) })
 
 	ww := wire.NewWriter(w, stateMagic)
-	for _, v := range []uint64{stateVersion, uint64(g.opts.MinRuleOccurrences)} {
+	for _, v := range []uint64{stateVersion, stateMinRuleOccurrences} {
 		ww.Uvarint(v)
 	}
 	ww.Bool(g.relaxed)
@@ -108,20 +127,7 @@ func (g *Grammar) WriteState(w io.Writer) (int64, error) {
 			}
 		}
 	}
-	// Pending digram sightings (SEQUITUR(k) only), sorted for a
-	// deterministic encoding; keys embed rule IDs, which the rule
-	// section above preserves verbatim.
-	pend := make([]digram, 0, len(g.pending))
-	for d := range g.pending {
-		pend = append(pend, d)
-	}
-	sort.Slice(pend, func(i, j int) bool { return digramLess(pend[i], pend[j]) })
-	ww.Uvarint(uint64(len(pend)))
-	for _, d := range pend {
-		for _, v := range []uint64{d.a, d.b, uint64(g.pending[d])} {
-			ww.Uvarint(v)
-		}
-	}
+	ww.Uvarint(0) // pending digrams
 	ww.Uvarint(uint64(len(entries)))
 	for _, e := range entries {
 		for _, v := range []uint64{e.d.a, e.d.b, e.p.rule, e.p.idx} {
@@ -140,15 +146,17 @@ func digramLess(x, y digram) bool {
 
 // ReadState decodes a grammar from its live-state form. The result is
 // fully appendable and behaves exactly like the grammar WriteState
-// captured: rules keep their original IDs, the digram table points at
-// the same occurrences, and pending SEQUITUR(k) counts are restored.
-// A decoded grammar passes CheckInvariants, or ReadState fails.
+// captured: rules keep their original IDs and the digram table points
+// at the same occurrences. A decoded grammar passes CheckInvariants, or
+// ReadState fails.
 func ReadState(r io.Reader) (*Grammar, error) {
 	rd := wire.NewReader(r, "sequitur: state", stateMagic)
 	if v := rd.Uvarint("version"); rd.Err() == nil && v != stateVersion {
 		rd.Failf("version %d, this build supports %d", v, stateVersion)
 	}
-	minOcc := max(rd.Count("min-rule-occurrences", math.MaxInt32), 2)
+	if v := rd.Uvarint("min-rule-occurrences"); rd.Err() == nil && v != stateMinRuleOccurrences {
+		rd.Failf("min-rule-occurrences %d, live grammars use %d", v, stateMinRuleOccurrences)
+	}
 	relaxed := rd.Bool("flags")
 	input := rd.Uvarint("input length")
 	nextID := rd.Uvarint("next rule id")
@@ -158,14 +166,11 @@ func ReadState(r io.Reader) (*Grammar, error) {
 		rd.Failf("no rules")
 	}
 	g := &Grammar{
-		opts:    Options{MinRuleOccurrences: int(minOcc)},
+		opts:    Options{MinRuleOccurrences: stateMinRuleOccurrences},
 		relaxed: relaxed,
 		nextID:  nextID,
 	}
 	g.arena.init()
-	if minOcc > 2 {
-		g.pending = make(map[digram]int)
-	}
 
 	// Pass 1: every rule's ID and raw body. A body may reference rules
 	// in either direction, so all rules materialize before any body
@@ -246,14 +251,8 @@ func ReadState(r io.Reader) (*Grammar, error) {
 		}
 	}
 
-	// Pending digram counts.
-	nPend := rd.Uvarint("pending count")
-	if nPend > 0 && g.pending == nil {
-		rd.Failf("%d pending digrams but min-rule-occurrences %d", nPend, minOcc)
-	}
-	for i := uint64(0); i < nPend && rd.Err() == nil; i++ {
-		a, b := rd.Uvarint("pending digram a"), rd.Uvarint("pending digram b")
-		g.pending[digram{a, b}] = int(rd.Uvarint("pending digram count"))
+	if n := rd.Uvarint("pending count"); rd.Err() == nil && n != 0 {
+		rd.Failf("%d pending digrams in a classic SEQUITUR grammar", n)
 	}
 
 	// Digram table: each entry re-points at the recorded occurrence,

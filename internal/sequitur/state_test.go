@@ -33,55 +33,53 @@ func stateTestInput(n int, seed int64) []uint64 {
 // a grammar identical to one that saw the whole stream uninterrupted —
 // same rules, same IDs, same digram table, same future behaviour.
 func TestStateRoundTrip(t *testing.T) {
-	for _, minOcc := range []int{2, 3} {
-		for _, split := range []int{0, 1, 7, 250, 499, 500} {
-			input := stateTestInput(500, 42)
+	for _, split := range []int{0, 1, 7, 250, 499, 500} {
+		input := stateTestInput(500, 42)
 
-			full := NewWithOptions(Options{MinRuleOccurrences: minOcc})
-			full.AppendAll(input)
+		full := New()
+		full.AppendAll(input)
 
-			half := NewWithOptions(Options{MinRuleOccurrences: minOcc})
-			half.AppendAll(input[:split])
+		half := New()
+		half.AppendAll(input[:split])
 
-			var buf bytes.Buffer
-			n, err := half.WriteState(&buf)
-			if err != nil {
-				t.Fatalf("minOcc=%d split=%d: WriteState: %v", minOcc, split, err)
-			}
-			if n != int64(buf.Len()) {
-				t.Fatalf("minOcc=%d split=%d: WriteState reported %d bytes, wrote %d", minOcc, split, n, buf.Len())
-			}
+		var buf bytes.Buffer
+		n, err := half.WriteState(&buf)
+		if err != nil {
+			t.Fatalf("split=%d: WriteState: %v", split, err)
+		}
+		if n != int64(buf.Len()) {
+			t.Fatalf("split=%d: WriteState reported %d bytes, wrote %d", split, n, buf.Len())
+		}
 
-			restored, err := ReadState(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("minOcc=%d split=%d: ReadState: %v", minOcc, split, err)
-			}
-			if err := restored.CheckInvariants(); err != nil {
-				t.Fatalf("minOcc=%d split=%d: restored invariants: %v", minOcc, split, err)
-			}
-			restored.AppendAll(input[split:])
-			if err := restored.CheckInvariants(); err != nil {
-				t.Fatalf("minOcc=%d split=%d: continued invariants: %v", minOcc, split, err)
-			}
+		restored, err := ReadState(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("split=%d: ReadState: %v", split, err)
+		}
+		if err := restored.CheckInvariants(); err != nil {
+			t.Fatalf("split=%d: restored invariants: %v", split, err)
+		}
+		restored.AppendAll(input[split:])
+		if err := restored.CheckInvariants(); err != nil {
+			t.Fatalf("split=%d: continued invariants: %v", split, err)
+		}
 
-			if got, want := restored.Expand(), input; !reflect.DeepEqual(got, want) {
-				t.Fatalf("minOcc=%d split=%d: continued grammar expands wrong", minOcc, split)
-			}
+		if got, want := restored.Expand(), input; !reflect.DeepEqual(got, want) {
+			t.Fatalf("split=%d: continued grammar expands wrong", split)
+		}
 
-			// Bit-identical structure: re-serializing both must match.
-			var fullState, contState bytes.Buffer
-			if _, err := full.WriteState(&fullState); err != nil {
-				t.Fatalf("WriteState(full): %v", err)
-			}
-			if _, err := restored.WriteState(&contState); err != nil {
-				t.Fatalf("WriteState(continued): %v", err)
-			}
-			if !bytes.Equal(fullState.Bytes(), contState.Bytes()) {
-				t.Fatalf("minOcc=%d split=%d: continued grammar state differs from uninterrupted grammar", minOcc, split)
-			}
-			if full.nextID != restored.nextID {
-				t.Fatalf("minOcc=%d split=%d: nextID %d != %d", minOcc, split, restored.nextID, full.nextID)
-			}
+		// Bit-identical structure: re-serializing both must match.
+		var fullState, contState bytes.Buffer
+		if _, err := full.WriteState(&fullState); err != nil {
+			t.Fatalf("WriteState(full): %v", err)
+		}
+		if _, err := restored.WriteState(&contState); err != nil {
+			t.Fatalf("WriteState(continued): %v", err)
+		}
+		if !bytes.Equal(fullState.Bytes(), contState.Bytes()) {
+			t.Fatalf("split=%d: continued grammar state differs from uninterrupted grammar", split)
+		}
+		if full.nextID != restored.nextID {
+			t.Fatalf("split=%d: nextID %d != %d", split, restored.nextID, full.nextID)
 		}
 	}
 }
@@ -133,47 +131,6 @@ func digramEntries(g *Grammar) map[digram][2]uint64 {
 		return true
 	})
 	return out
-}
-
-// TestStatePendingRoundTrip pins that SEQUITUR(3) pending-digram counts
-// survive the round trip: a digram seen once before serialization must
-// still need only MinRuleOccurrences-1 more sightings after restore.
-func TestStatePendingRoundTrip(t *testing.T) {
-	g := NewWithOptions(Options{MinRuleOccurrences: 3})
-	g.AppendAll([]uint64{1, 2, 9, 1, 2, 8}) // digram (1,2) seen twice: pending=2
-
-	if len(g.pending) == 0 {
-		t.Fatal("test setup: expected pending digrams")
-	}
-
-	var buf bytes.Buffer
-	if _, err := g.WriteState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ReadState(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g.pending, r.pending) {
-		t.Fatalf("pending mismatch: live=%v restored=%v", g.pending, r.pending)
-	}
-
-	// The third sighting must now promote the digram to a rule in both.
-	g.AppendAll([]uint64{1, 2})
-	r.AppendAll([]uint64{1, 2})
-	if g.NumRules() != r.NumRules() {
-		t.Fatalf("rule counts diverged after promotion: live=%d restored=%d", g.NumRules(), r.NumRules())
-	}
-	var a, b bytes.Buffer
-	if _, err := g.WriteState(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.WriteState(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("states diverged after post-restore promotion")
-	}
 }
 
 // TestStateRelaxedGrammar checks that an evicted (relaxed) grammar
@@ -256,6 +213,16 @@ func TestStateFrozenRejected(t *testing.T) {
 	}
 	if _, err := frozen.WriteState(new(bytes.Buffer)); err == nil {
 		t.Fatal("WriteState on frozen grammar: want error, got nil")
+	}
+}
+
+// TestStateSequiturKRejected: SEQUITUR(k) is batch-only, so a k = 3
+// grammar has no live state to write.
+func TestStateSequiturKRejected(t *testing.T) {
+	g := NewWithOptions(Options{MinRuleOccurrences: 3})
+	g.AppendAll(stateTestInput(100, 1))
+	if _, err := g.WriteState(new(bytes.Buffer)); err == nil {
+		t.Fatal("WriteState on a k = 3 grammar: want error, got nil")
 	}
 }
 

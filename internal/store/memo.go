@@ -28,9 +28,9 @@ import (
 // they cannot cause spurious memo misses.
 func Fingerprint(opts core.Options) string {
 	o := opts.Normalized()
-	return fmt.Sprintf("n%d-l%d.%d-c%g-f%d-k%d-b%d",
+	return fmt.Sprintf("n%d-l%d.%d-c%g-f%d-k2-b%d",
 		o.HeapNaming, o.MinStreamLen, o.MaxStreamLen, o.CoverageTarget,
-		o.FixedHeatMultiple, o.SequiturMinRuleOccurrences, o.BlockSize)
+		o.FixedHeatMultiple, o.BlockSize)
 }
 
 // Result is one memoized analysis outcome.

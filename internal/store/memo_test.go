@@ -131,11 +131,16 @@ func TestMemoKeyedByParams(t *testing.T) {
 func TestFingerprintNormalizes(t *testing.T) {
 	explicit := core.Options{
 		MinStreamLen: 2, MaxStreamLen: 100, CoverageTarget: 0.90,
-		BlockSize: 64, SequiturMinRuleOccurrences: 2,
+		BlockSize: 64,
 	}
 	if Fingerprint(core.Options{}) != Fingerprint(explicit) {
 		t.Errorf("zero options fingerprint %q != explicit defaults %q",
 			Fingerprint(core.Options{}), Fingerprint(explicit))
+	}
+	// The default key is pinned: memo keys and artifact names of
+	// existing stores must not change.
+	if got, want := Fingerprint(core.Options{}), "n0-l2.100-c0.9-f0-k2-b64"; got != want {
+		t.Errorf("default fingerprint %q, want %q", got, want)
 	}
 	// Worker count and Figure-9 settings must not perturb the key.
 	if Fingerprint(core.Options{Workers: 8, SkipPotential: true}) != Fingerprint(core.Options{}) {

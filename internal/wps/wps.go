@@ -33,14 +33,11 @@ type Options struct {
 	// must be at least the maximum hot-data-stream length the caller
 	// will analyze (the paper uses 100).
 	MaxStreamLen int
-	// Sequitur passes options through to the compressor (the
-	// SEQUITUR(k) ablation).
-	Sequitur sequitur.Options
 }
 
 // DefaultOptions returns the paper's parameters.
 func DefaultOptions() Options {
-	return Options{MaxStreamLen: 100, Sequitur: sequitur.Options{MinRuleOccurrences: 2}}
+	return Options{MaxStreamLen: 100}
 }
 
 // Build compresses the abstracted name sequence into a WPS.
@@ -48,7 +45,7 @@ func Build(names []uint64, opts Options) *WPS {
 	if opts.MaxStreamLen <= 0 {
 		opts.MaxStreamLen = 100
 	}
-	g := sequitur.NewWithOptions(opts.Sequitur)
+	g := sequitur.New()
 	if err := g.AppendAll(names); err != nil {
 		// Batch construction takes an in-memory name slice, which is
 		// orders of magnitude smaller than the arena's 2^32-symbol

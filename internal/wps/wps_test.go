@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/sequitur"
 )
 
 func names(n int, period int) []uint64 {
@@ -107,8 +105,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if w.DAG == nil {
 		t.Fatal("DAG not built with zero options")
 	}
-	if got := DefaultOptions(); got.MaxStreamLen != 100 ||
-		got.Sequitur != (sequitur.Options{MinRuleOccurrences: 2}) {
+	if got := DefaultOptions(); got.MaxStreamLen != 100 {
 		t.Errorf("DefaultOptions = %+v", got)
 	}
 }
