@@ -104,10 +104,15 @@ FUZZ_TARGETS = \
 # run-fuzz runs every target in FUZZ_TARGETS for $(1), stopping at the
 # first failure. -run keeps go test from running the package's other
 # tests before each target; the test and race steps run those.
+# Minimizing a new corpus entry of a few hundred bytes takes about
+# len²/2 runs, and no worker fuzzes meanwhile; the default 60 s per
+# entry outlasts the whole budget, so minimization stops after
+# FUZZ_MINIMIZE runs and the entry is kept as minimized so far.
+FUZZ_MINIMIZE = 100x
 define run-fuzz
 	@set -e; for t in $(FUZZ_TARGETS); do \
-		echo "$(GO) test -run=^$${t#*:}\$$ -fuzz=$${t#*:} -fuzztime=$(1) ./internal/$${t%%:*}/"; \
-		$(GO) test -run='^'$${t#*:}'$$' -fuzz=$${t#*:} -fuzztime=$(1) ./internal/$${t%%:*}/; \
+		echo "$(GO) test -run=^$${t#*:}\$$ -fuzz=$${t#*:} -fuzztime=$(1) -fuzzminimizetime=$(FUZZ_MINIMIZE) ./internal/$${t%%:*}/"; \
+		$(GO) test -run='^'$${t#*:}'$$' -fuzz=$${t#*:} -fuzztime=$(1) -fuzzminimizetime=$(FUZZ_MINIMIZE) ./internal/$${t%%:*}/; \
 	done
 endef
 

@@ -449,7 +449,8 @@ func BenchmarkOnlineIngest(b *testing.B) {
 // query after new data. The obs=on variant times the identical pass with
 // per-stage timers and pprof labels live (six timer observations per
 // snapshot). The repeat case times a snapshot of an unchanged engine,
-// which reuses the threshold its first snapshot searched for.
+// which reuses the threshold its first snapshot searched for and
+// replays that snapshot's measurement counts instead of scanning.
 func BenchmarkOnlineSnapshot(b *testing.B) {
 	buf := benchTrace(b, "boxsim")
 	for _, cfg := range []struct {

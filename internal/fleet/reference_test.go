@@ -161,7 +161,7 @@ func referenceMatrix(fps []*Fingerprint) [][]float64 {
 	for i := range m {
 		m[i] = make([]float64, n)
 	}
-	_ = parallel.ForEach(0, n*n, func(c int) error {
+	_ = parallel.ForEach(parallel.Workers(0), n*n, func(c int) error {
 		if i, j := c/n, c%n; i < j {
 			m[i][j] = similarityReference(fps[i], fps[j])
 			m[j][i] = m[i][j]
@@ -177,8 +177,9 @@ func referenceMatrix(fps []*Fingerprint) [][]float64 {
 // four workers, and every Similarity, to carry the same bits as the
 // reference. The golden fleet's oracle is sequential test code that
 // takes ~30 s plain and over 4 minutes under the race detector, so it
-// runs in the plain pass only; under -race the golden fleet's Matrix at
-// four workers is held to its Matrix at one worker instead.
+// runs in the plain pass only, one session row per parallel subtest
+// (goldenRows); under -race the golden fleet's Matrix at four workers
+// is held to its Matrix at one worker instead.
 func TestMatrixMatchesReference(t *testing.T) {
 	type fleet struct {
 		fps  []*Fingerprint
@@ -213,18 +214,11 @@ func TestMatrixMatchesReference(t *testing.T) {
 			// bit for bit.
 			fleets["golden"] = fleet{golden, Matrix(golden, 1)}
 		} else {
-			add("golden", golden)
 			// TestRealTraceSelfSimilarity's box0, box1 and db0 are golden
-			// sessions 0, 1 and 3: their reference cells are already known.
-			trio := []int{0, 1, 3}
-			f := fleet{want: make([][]float64, len(trio))}
-			for i, gi := range trio {
-				f.fps = append(f.fps, golden[gi])
-				for _, gj := range trio {
-					f.want[i] = append(f.want[i], fleets["golden"].want[gi][gj])
-				}
-			}
-			fleets["selfSimilarityTrio"] = f
+			// sessions 0, 1 and 3: their reference cells are checked
+			// against the trio's own matrices too.
+			defer debug.SetGCPercent(debug.SetGCPercent(800))
+			t.Run("golden", func(t *testing.T) { goldenRows(t, golden, []int{0, 1, 3}) })
 		}
 	}
 	for name, f := range fleets {
@@ -245,6 +239,54 @@ func TestMatrixMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// goldenRows checks the cells TestMatrixMatchesReference checks for the
+// golden fleet, and for its sub-fleet trio, one session row per
+// parallel subtest, so the oracle's cells spread over the CPUs: row i
+// computes the reference cell [i][j] for every j > i and holds to it
+// both mirrored cells of Matrix at one and four workers and Similarity
+// in both orders, and the diagonal to 1. Every cell of both fleets is
+// checked once, against the same reference.
+func goldenRows(t *testing.T, golden []*Fingerprint, trio []int) {
+	got := map[int][][]float64{1: Matrix(golden, 1), 4: Matrix(golden, 4)}
+	trioFps := make([]*Fingerprint, len(trio))
+	inTrio := make([]int, len(golden))
+	for i := range inTrio {
+		inTrio[i] = -1
+	}
+	for k, gi := range trio {
+		trioFps[k], inTrio[gi] = golden[gi], k
+	}
+	trioGot := map[int][][]float64{1: Matrix(trioFps, 1), 4: Matrix(trioFps, 4)}
+	for i := range golden {
+		t.Run(golden[i].Session, func(t *testing.T) {
+			t.Parallel()
+			check := func(j int, want float64) {
+				for _, workers := range []int{1, 4} {
+					for _, c := range [][2]int{{i, j}, {j, i}} {
+						if cell := got[workers][c[0]][c[1]]; math.Float64bits(cell) != math.Float64bits(want) {
+							t.Fatalf("golden workers=%d: cell [%d][%d] = %v, reference %v", workers, c[0], c[1], cell, want)
+						}
+						if a, b := inTrio[c[0]], inTrio[c[1]]; a >= 0 && b >= 0 {
+							if cell := trioGot[workers][a][b]; math.Float64bits(cell) != math.Float64bits(want) {
+								t.Fatalf("selfSimilarityTrio workers=%d: cell [%d][%d] = %v, reference %v", workers, a, b, cell, want)
+							}
+						}
+					}
+				}
+				for _, c := range [][2]int{{i, j}, {j, i}} {
+					if s := Similarity(golden[c[0]], golden[c[1]]); math.Float64bits(s) != math.Float64bits(want) {
+						t.Fatalf("golden: Similarity(%d, %d) = %v, reference %v", c[0], c[1], s, want)
+					}
+				}
+			}
+			check(i, 1)
+			for j := i + 1; j < len(golden); j++ {
+				check(j, similarityReference(golden[i], golden[j]))
+			}
+		})
 	}
 }
 

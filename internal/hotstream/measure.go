@@ -1,5 +1,10 @@
 package hotstream
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // Measurement is the result of the exact matching pass: per-stream
 // non-overlapping occurrence counts and gaps (the regularity frequency and
 // temporal regularity of §2.2, counted independently per stream), overall
@@ -23,6 +28,10 @@ type Measurement struct {
 	Reduced []uint64
 	// StreamBase is the first symbol value used for stream encoding.
 	StreamBase uint64
+
+	// detected is the measured input, dropped streams included, in the
+	// order it was passed: what Counts encodes.
+	detected []*Stream
 }
 
 // Coverage returns the fraction of references covered by hot streams: the
@@ -88,21 +97,11 @@ func measureWith(seq []uint64, streams []*Stream, tr *trie, cfg Config, streamBa
 	m.TotalRefs = sc.pos
 	m.CoveredRefs = sc.covered
 	m.ColdRefs = m.TotalRefs - sc.covered
+	m.detected = streams
 
 	// Keep only streams with regularity (>= 2 non-overlapping
 	// occurrences), renumbering densely.
-	kept := make([]*Stream, 0, len(streams))
-	keptIdx := make([]int32, len(streams))
-	for i := range keptIdx {
-		keptIdx[i] = -1
-	}
-	for i, s := range streams {
-		if s.Freq >= 2 {
-			keptIdx[i] = int32(len(kept))
-			s.ID = len(kept)
-			kept = append(kept, s)
-		}
-	}
+	kept := keepRegular(streams)
 	m.Streams = kept
 
 	// Coverage correction: spans contributed only by dropped streams
@@ -121,6 +120,113 @@ func measureWith(seq []uint64, streams []*Stream, tr *trie, cfg Config, streamBa
 		m.Reduced = tokenize(seq, kept, streamBase)
 	}
 	return m
+}
+
+// keepRegular returns the streams with regularity (at least two
+// non-overlapping occurrences) in input order, renumbering their IDs
+// densely.
+func keepRegular(streams []*Stream) []*Stream {
+	n := 0
+	for _, s := range streams {
+		if s.Freq >= 2 {
+			n++
+		}
+	}
+	kept := make([]*Stream, 0, n)
+	for _, s := range streams {
+		if s.Freq >= 2 {
+			s.ID = len(kept)
+			kept = append(kept, s)
+		}
+	}
+	return kept
+}
+
+// Counts encodes what the matching pass counted, for Replay: the
+// number of measured streams, TotalRefs and CoveredRefs, then each
+// measured stream's Freq in input order, dropped streams included,
+// followed by its GapSum when it was kept (a dropped stream's is
+// zero). All are uvarints, so the record takes a few bytes per stream;
+// the slice is allocated at its exact length.
+func (m *Measurement) Counts() []byte {
+	n := uvarintLen(uint64(len(m.detected))) + uvarintLen(m.TotalRefs) + uvarintLen(m.CoveredRefs)
+	for _, s := range m.detected {
+		n += uvarintLen(s.Freq)
+		if s.Freq >= 2 {
+			n += uvarintLen(s.GapSum)
+		}
+	}
+	b := make([]byte, 0, n)
+	b = binary.AppendUvarint(b, uint64(len(m.detected)))
+	b = binary.AppendUvarint(b, m.TotalRefs)
+	b = binary.AppendUvarint(b, m.CoveredRefs)
+	for _, s := range m.detected {
+		b = binary.AppendUvarint(b, s.Freq)
+		if s.Freq >= 2 {
+			b = binary.AppendUvarint(b, s.GapSum)
+		}
+	}
+	return b
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// Replay rebuilds, from the Counts of an earlier measurement of the
+// same streams over the same sequence, the Measurement that
+// Measure(seq, streams, cfg, 0, false) would return: the same Freq and
+// GapSum on every stream, the same drops and dense IDs, the same
+// coverage. It touches neither the sequence nor the streams' contents,
+// so the caller must know the record belongs to these streams (the
+// online engine keys it by its event count). It refuses, returning
+// false and leaving the streams unchanged, a record that is malformed,
+// covers more references than it scanned, or whose stream count or
+// length does not match.
+func Replay(streams []*Stream, counts []byte) (*Measurement, bool) {
+	r := countReader{b: counts}
+	n, total, covered := r.next(), r.next(), r.next()
+	body := r.b
+	if r.bad || n != uint64(len(streams)) || covered > total {
+		return nil, false
+	}
+	for range streams {
+		if r.next() >= 2 {
+			r.next()
+		}
+	}
+	if r.bad || len(r.b) != 0 {
+		return nil, false
+	}
+	r = countReader{b: body}
+	for _, s := range streams {
+		s.Freq, s.GapSum = r.next(), 0
+		if s.Freq >= 2 {
+			s.GapSum = r.next()
+		}
+	}
+	return &Measurement{
+		Streams:     keepRegular(streams),
+		TotalRefs:   total,
+		CoveredRefs: covered,
+		ColdRefs:    total - covered,
+		detected:    streams,
+	}, true
+}
+
+// countReader decodes a Counts record, latching the first malformed or
+// missing value.
+type countReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *countReader) next() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
 }
 
 // acScan is the state of an Aho-Corasick pass: the automaton state,

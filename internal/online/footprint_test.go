@@ -1,6 +1,7 @@
 package online
 
 import (
+	"io"
 	"runtime"
 	"testing"
 )
@@ -102,5 +103,29 @@ func TestSnapshotAllocs(t *testing.T) {
 	t.Logf("repeat snapshot: %.0f allocs", allocs)
 	if allocs > ceiling {
 		t.Errorf("a repeat snapshot of a boxsim 30k engine allocated %.0f times, want at most %d", allocs, ceiling)
+	}
+}
+
+// TestWriteStateAllocs is the allocation gate for a session handoff's
+// encode: Engine.WriteState of a 30k-reference engine writes each
+// layer's section through one buffer, so it allocates per section and
+// per growth of that buffer, plus the grammar's symbol index, sorted
+// rule list and digram entries. It reads 41 on each family; a
+// per-rule right-hand-side slice (Rule.RHS) or a per-entry escape adds
+// thousands. The ceiling is that count plus a fifth and 16.
+func TestWriteStateAllocs(t *testing.T) {
+	const ceiling = 65
+	for _, bench := range []string{"boxsim", "255.vortex", "300.twolf"} {
+		e := NewEngine(Options{})
+		ingestChunked(e, genTrace(t, bench, 30_000), ingestChunk)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := e.WriteState(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: WriteState %.0f allocs", bench, allocs)
+		if allocs > ceiling {
+			t.Errorf("%s: WriteState of a 30k engine allocated %.0f times, want at most %d", bench, allocs, ceiling)
+		}
 	}
 }

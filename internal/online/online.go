@@ -120,13 +120,11 @@ type Engine struct {
 	chunks    uint64
 	evictions uint64
 
-	// searched is the threshold the last search returned, and searchedAt
-	// the event count it was computed at (valid only when searchedOK). A
-	// later Snapshot at the same count reuses it instead of searching:
-	// only a non-empty Ingest changes the input, and it advances events.
-	searched   hotstream.Threshold
-	searchedAt uint64
-	searchedOK bool
+	// memo is what the last Snapshot that measured learned, keyed by
+	// the event count it ran at. A later Snapshot at the same count
+	// reuses it instead of searching and scanning: only a non-empty
+	// Ingest changes the input, and it advances events.
+	memo snapshotMemo
 
 	// appendErr latches the first grammar growth failure (the arena's
 	// typed symbol-space overflow). The abstraction sink that feeds
@@ -248,31 +246,47 @@ func (e *Engine) Evictions() uint64 { return e.evictions }
 // Stats returns the Table-1 statistics accumulated so far.
 func (e *Engine) Stats() trace.Stats { return e.acc.Stats() }
 
+// snapshotMemo is a threshold and the measurement counts taken at it
+// (hotstream.Measurement.Counts, a few bytes per detected stream), valid
+// while the engine's event count equals at. Nil counts mean nothing is
+// remembered.
+type snapshotMemo struct {
+	at     uint64
+	th     hotstream.Threshold
+	counts []byte
+}
+
 // Snapshot runs online hot-data-stream detection over everything
 // ingested so far: the grammar is frozen into its DAG view and the
 // reference sequence is expanded from the DAG once, the heat threshold
 // is recomputed (searched, or fixed via FixedHeatMultiple), streams are
 // detected on the DAG and measured exactly against that expansion, and
-// the locality metrics are summarized. A search already detects and measures at the heat it
-// returns, so the detect and measure stages only do work for a fixed
-// multiple or a remembered threshold.
+// the locality metrics are summarized. A search already detects and
+// measures at the heat it returns, so the detect and measure stages only
+// do work for a fixed multiple or a remembered threshold.
 //
-// The threshold a search returns is remembered with the event count it
-// was computed at. A later Snapshot at the same count skips the search
-// and detects and measures once at the remembered heat, which yields
-// exactly the search's final measurement, so the snapshot's bytes are
-// unchanged. Any non-empty Ingest advances the count (eviction runs only
-// inside Ingest), and a restored engine starts with nothing remembered.
-// Nothing else computed here outlives the call, the DAG and the
-// expansion (8 bytes per reference) included; the engine remains
-// appendable afterwards.
+// Every Snapshot that measures remembers its threshold and the matching
+// pass's integer counts (a few bytes per detected stream) with the event
+// count it ran at. A later Snapshot at the same count skips the search,
+// the expansion and the scan: it detects once at the remembered heat,
+// which yields exactly the streams that were measured, and replays the
+// counts onto them (hotstream.Replay), so the snapshot's bytes are
+// unchanged. A record that does not match the detected streams is
+// refused and the snapshot measures instead. Any non-empty Ingest
+// advances the count (eviction runs only inside Ingest), and a restored
+// engine starts with nothing remembered. Nothing else computed here
+// outlives the call, the DAG and the expansion (8 bytes per reference)
+// included; the engine remains appendable afterwards.
+//
 // Every phase runs as a named stage through the shared runner
 // (internal/pipeline) — the same stage names the batch pipeline uses —
 // so a serving process's obs registry accumulates per-stage latency
 // histograms across snapshots and CPU profiles carry stage labels.
 func (e *Engine) Snapshot() *Snapshot {
 	refs := e.g.InputLen()
+	hit := e.memo.counts != nil && e.memo.at == e.events
 	var stats trace.Stats
+	var dag *sequitur.DAG
 	var dsrc *hotstream.DAGSource
 	var seq []uint64
 	var th hotstream.Threshold
@@ -287,25 +301,26 @@ func (e *Engine) Snapshot() *Snapshot {
 			return nil
 		}},
 		pipeline.Stage{Name: pipeline.StageSequitur, Run: func() error {
-			dag := sequitur.NewDAG(e.g, e.opts.MaxStreamLen)
+			dag = sequitur.NewDAG(e.g, e.opts.MaxStreamLen)
 			dsrc = hotstream.NewDAGSource(dag)
 			grammar = dag.ComputeStats()
-			seq = dag.Expand()
+			if !hit {
+				seq = dag.Expand()
+			}
 			return nil
 		}},
 		pipeline.Stage{Name: pipeline.StageThreshold, Run: func() error {
 			switch {
 			case e.opts.FixedHeatMultiple > 0:
 				th = hotstream.FixedThreshold(e.opts.FixedHeatMultiple, refs, stats.Addresses)
-			case e.searchedOK && e.searchedAt == e.events:
-				th = e.searched
+			case hit:
+				th = e.memo.th
 			default:
 				th, meas = hotstream.FindThreshold(dsrc, seq, refs, stats.Addresses, hotstream.SearchConfig{
 					MinLen:         e.opts.MinStreamLen,
 					MaxLen:         e.opts.MaxStreamLen,
 					CoverageTarget: e.opts.CoverageTarget,
 				})
-				e.searched, e.searchedAt, e.searchedOK = th, e.events, true
 			}
 			cfg = hotstream.Config{MinLen: e.opts.MinStreamLen, MaxLen: e.opts.MaxStreamLen, Heat: th.Heat}
 			return nil
@@ -317,10 +332,21 @@ func (e *Engine) Snapshot() *Snapshot {
 			return nil
 		}},
 		pipeline.Stage{Name: pipeline.StageMeasure, Run: func() error {
+			measured := meas != nil
+			if meas == nil && hit {
+				meas, _ = hotstream.Replay(streams, e.memo.counts)
+			}
 			if meas == nil {
+				if seq == nil {
+					seq = dag.Expand()
+				}
 				meas = hotstream.Measure(seq, streams, cfg, 0, false)
+				measured = true
 			}
 			th.Coverage = meas.Coverage()
+			if measured {
+				e.memo = snapshotMemo{at: e.events, th: th, counts: meas.Counts()}
+			}
 			return nil
 		}},
 		pipeline.Stage{Name: pipeline.StageSummary, Run: func() error {

@@ -93,16 +93,17 @@ func (g *Grammar) WriteState(w io.Writer) (int64, error) {
 		p symPos
 	}
 	entries := make([]tabEntry, 0, g.digrams.len())
-	var badEntry *digram
+	var badEntry digram
+	bad := false
 	g.digrams.all(func(d digram, s symID) bool {
 		if int(s) >= len(where) || where[s].idx == noPos {
-			badEntry = &d
+			badEntry, bad = d, true
 			return false
 		}
 		entries = append(entries, tabEntry{d, where[s]})
 		return true
 	})
-	if badEntry != nil {
+	if bad {
 		return 0, fmt.Errorf("sequitur: digram table entry (%d,%d) points at an unlinked symbol", badEntry.a, badEntry.b)
 	}
 	sort.Slice(entries, func(i, j int) bool { return digramLess(entries[i].d, entries[j].d) })
@@ -115,15 +116,20 @@ func (g *Grammar) WriteState(w io.Writer) (int64, error) {
 	for _, v := range []uint64{g.input, g.nextID, g.root.id, uint64(g.nRules)} {
 		ww.Uvarint(v)
 	}
+	// Each rule's symbols are walked in place, once to count and once
+	// to write, so the encode allocates nothing per rule.
 	for _, r := range g.liveRulesSorted() {
-		rhs := r.RHS()
+		n := uint64(0)
+		for si := r.first(); !g.at(si).isGuard(); si = g.at(si).next {
+			n++
+		}
 		ww.Uvarint(r.id)
-		ww.Uvarint(uint64(rhs.Len()))
-		for i, ref := range rhs.Refs {
-			if ref != nil {
-				ww.Uvarint(ref.id<<1 | 1)
+		ww.Uvarint(n)
+		for si := r.first(); !g.at(si).isGuard(); si = g.at(si).next {
+			if s := g.at(si); s.rule != nilRule {
+				ww.Uvarint(g.ruleAt(s.rule).id<<1 | 1)
 			} else {
-				ww.Uvarint(rhs.Terminals[i] << 1)
+				ww.Uvarint(s.value << 1)
 			}
 		}
 	}
