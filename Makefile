@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-smoke bench-pipeline bench-ingest repro csv lint lint-baseline race sanitize cluster-smoke locbench-check locdiff-smoke fuzz fuzz-smoke cover clean
+.PHONY: all build test bench bench-smoke bench-pipeline repro csv lint lint-baseline race sanitize cluster-smoke locbench-check locdiff-smoke fuzz fuzz-smoke cover clean
 
 all: build test lint
 
@@ -79,11 +79,6 @@ locdiff-smoke:
 # BENCH_pipeline.json; fails if overhead exceeds the 2% budget.
 bench-pipeline:
 	./scripts/bench-pipeline.sh
-
-# Measure in-process and HTTP ingest throughput, regenerate
-# BENCH_ingest.json, and gate allocs/op against the committed file.
-bench-ingest:
-	./scripts/bench-ingest.sh
 
 # Every fuzz target, as package:Target. fuzz runs each for 30 seconds;
 # fuzz-smoke, the CI-sized pass, for 10.

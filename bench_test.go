@@ -150,7 +150,7 @@ func BenchmarkHotStreamAnalysis(b *testing.B) {
 	buf := benchTrace(b, "sqlserver")
 	res := abstract.New(abstract.BirthID).Abstract(buf)
 	w := wps.Build(res.Names, wps.DefaultOptions())
-	d := hotstream.NewDAGSource(w.DAG)
+	d := w.DAG
 	unit := float64(len(res.Names)) / float64(buf.Stats().Addresses)
 	cfg := hotstream.Config{MinLen: 2, MaxLen: 100, Heat: uint64(unit)}
 	b.ResetTimer()
@@ -239,7 +239,7 @@ func BenchmarkAblationMaxStreamLen(b *testing.B) {
 	buf := benchTrace(b, "boxsim")
 	res := abstract.New(abstract.BirthID).Abstract(buf)
 	w := wps.Build(res.Names, wps.DefaultOptions())
-	d := hotstream.NewDAGSource(w.DAG)
+	d := w.DAG
 	unit := float64(len(res.Names)) / float64(buf.Stats().Addresses)
 	var at20, at100 int
 	b.ResetTimer()

@@ -136,7 +136,7 @@ func TestRegeneratedSequenceMatchesAbstraction(t *testing.T) {
 	// WPS must represent the abstracted trace exactly (losslessness of
 	// the grammar, as opposed to the lossy address abstraction).
 	a := analyze(t, "197.parser", 15_000, Options{SkipPotential: true})
-	regen := a.Pipeline.Levels[0].WPS.Regenerate()
+	regen := a.Pipeline.Levels[0].WPS.DAG.Expand()
 	names := a.Abstraction.Names
 	if len(regen) != len(names) {
 		t.Fatalf("regenerated %d names, want %d", len(regen), len(names))

@@ -2,7 +2,9 @@
 // abstraction: hot data streams (§2.3) and their regularity metrics (§2.2),
 // detected directly on the Whole Program Stream DAG with Larus's postorder
 // algorithm (§3.1) and verified by an exact matching pass over the
-// regenerated reference sequence.
+// regenerated reference sequence. Detection reads the frozen
+// *sequitur.DAG in place, naming each rule by its postorder position,
+// and never decompresses it.
 //
 // A data stream is a reference subsequence exhibiting regularity: at least
 // two references, repeated at least twice without overlap. Its regularity
@@ -15,6 +17,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"repro/internal/sequitur"
 )
 
 // Stream is one (candidate or confirmed) hot data stream.
@@ -83,26 +87,12 @@ func (c *Config) normalize() {
 	}
 }
 
-// dagView is the subset of the WPS DAG the detector needs; satisfied by
-// *sequitur.DAG via the adapter in the wps-facing constructor (kept as an
-// interface so tests can drive the detector with hand-built DAGs).
-type dagView interface {
-	RuleIDs() []uint64
-	Occ(id uint64) uint64
-	ExpLen(id uint64) uint64
-	RHSLen(id uint64) int
-	// Elem returns, for RHS position i of rule id: the referenced rule
-	// ID and true, or a terminal value and false.
-	Elem(id uint64, i int) (uint64, bool)
-	Prefix(id uint64, n int) []uint64
-	Suffix(id uint64, n int) []uint64
-}
-
 // Detect enumerates minimal hot data streams on the DAG: Larus's postorder
-// traversal, visiting each node once and, at each interior node, examining
-// the data streams formed by concatenating subsequences that span the
-// boundaries between the node's descendants (streams produced wholly by a
-// descendant are found when that descendant is visited).
+// traversal, visiting each node once (positions 0..d.Len()-1, children
+// first) and, at each interior node, examining the data streams formed
+// by concatenating subsequences that span the boundaries between the
+// node's descendants (streams produced wholly by a descendant are found
+// when that descendant is visited).
 //
 // A site is one boundary b of one rule's right-hand side, and target is
 // the minimal hot length there. Its windows are the length-target
@@ -121,14 +111,14 @@ type dagView interface {
 // site by site, and its windows enter the table only if a first hashing
 // pass saw their key twice: a window of mass 1 that no other site
 // shares a length with needs a repeat to reach frequency 2.
-func Detect(d dagView, cfg Config) []*Stream {
+func Detect(d *sequitur.DAG, cfg Config) []*Stream {
 	return detect(d, cfg, newWindowTable())
 }
 
 // detect is Detect with the window table supplied by the caller, so a
 // threshold search can reuse one table's memory across its probes. The
 // table is reset first; nothing returned points into it.
-func detect(d dagView, cfg Config, wt *windowTable) []*Stream {
+func detect(d *sequitur.DAG, cfg Config, wt *windowTable) []*Stream {
 	cfg.normalize()
 	wt.reset()
 
@@ -137,8 +127,8 @@ func detect(d dagView, cfg Config, wt *windowTable) []*Stream {
 	// when H > MinLen no other site shares that length, and the windows
 	// of the once-occurring rules are deferred to be filtered for repeats.
 	deferOnce := cfg.Heat > uint64(cfg.MinLen)
-	for _, id := range d.RuleIDs() {
-		occ := d.Occ(id)
+	for p := range d.Len() {
+		occ := d.Occ(p)
 		if occ == 0 {
 			continue
 		}
@@ -152,16 +142,16 @@ func detect(d dagView, cfg Config, wt *windowTable) []*Stream {
 		if target > cfg.MaxLen {
 			continue // even a max-length stream falls short of H here
 		}
-		if occ == 1 && deferOnce && wt.deferRule(d, id, target) {
+		if occ == 1 && deferOnce && wt.deferRule(d, p, target) {
 			continue
 		}
-		k := d.RHSLen(id)
+		k := d.RHSLen(p)
 		for b := 0; b+1 < k; b++ {
 			base := len(wt.arena)
 			// Left context: up to target-1 trailing terminals of
 			// element b's expansion.
-			if ref, isRule := d.Elem(id, b); isRule {
-				left := d.Suffix(ref, target-1)
+			if ref, isRule := d.Elem(p, b); isRule {
+				left := d.Suffix(int(ref), target-1)
 				if len(left) > target-1 {
 					left = left[len(left)-(target-1):]
 				}
@@ -178,8 +168,8 @@ func detect(d dagView, cfg Config, wt *windowTable) []*Stream {
 				if need <= 0 {
 					break
 				}
-				if ref, isRule := d.Elem(id, j); isRule {
-					wt.arena = append(wt.arena, d.Prefix(ref, need)...)
+				if ref, isRule := d.Elem(p, j); isRule {
+					wt.arena = append(wt.arena, d.Prefix(int(ref), need)...)
 				} else {
 					wt.arena = append(wt.arena, ref)
 				}

@@ -19,11 +19,11 @@ func sym(s string) []uint64 {
 	return out
 }
 
-func dagOf(t *testing.T, seq []uint64) *DAGSource {
+func dagOf(t *testing.T, seq []uint64) *sequitur.DAG {
 	t.Helper()
 	g := sequitur.New()
 	g.AppendAll(seq)
-	return NewDAGSource(sequitur.NewDAG(g, 100))
+	return sequitur.NewDAG(g, 100)
 }
 
 // Figure 2, sequence 2: "abcabcdefabcgabcfabcdabc". The paper works the
@@ -320,7 +320,7 @@ func TestFindThresholdReturnsFinalMeasurement(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			g := sequitur.New()
 			g.AppendAll(c.in)
-			d := NewDAGSource(sequitur.NewDAG(g, 100))
+			d := sequitur.NewDAG(g, 100)
 			th, got := FindThreshold(d, c.in, uint64(len(c.in)), c.addrs, c.cfg)
 			if !c.branch(th) {
 				t.Fatalf("threshold %+v did not take this branch", th)
@@ -414,7 +414,7 @@ func BenchmarkDetect(b *testing.B) {
 	}
 	g := sequitur.New()
 	g.AppendAll(in)
-	d := NewDAGSource(sequitur.NewDAG(g, 100))
+	d := sequitur.NewDAG(g, 100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -154,7 +154,7 @@ type candidate struct {
 // referenceCandidates is detectReference's window enumeration: every
 // distinct boundary-crossing window with its summed occurrence mass,
 // keyed by its bytes.
-func referenceCandidates(d dagView, cfg Config) map[string]*candidate {
+func referenceCandidates(d *sequitur.DAG, cfg Config) map[string]*candidate {
 	cands := make(map[string]*candidate)
 	var keyBuf []byte
 
@@ -174,7 +174,7 @@ func referenceCandidates(d dagView, cfg Config) map[string]*candidate {
 		cands[string(keyBuf)] = &candidate{seq: seq, freq: occ}
 	}
 
-	for _, id := range d.RuleIDs() {
+	for id := range d.Len() {
 		occ := d.Occ(id)
 		if occ == 0 {
 			continue
@@ -195,7 +195,7 @@ func referenceCandidates(d dagView, cfg Config) map[string]*candidate {
 			// element b's expansion.
 			var left []uint64
 			if ref, isRule := d.Elem(id, b); isRule {
-				left = d.Suffix(ref, target-1)
+				left = d.Suffix(int(ref), target-1)
 			} else {
 				left = []uint64{ref}
 			}
@@ -208,7 +208,7 @@ func referenceCandidates(d dagView, cfg Config) map[string]*candidate {
 			right := make([]uint64, 0, target-1)
 			for j := b + 1; j < k && len(right) < target-1; j++ {
 				if ref, isRule := d.Elem(id, j); isRule {
-					p := d.Prefix(ref, target-1-len(right))
+					p := d.Prefix(int(ref), target-1-len(right))
 					right = append(right, p...)
 				} else {
 					right = append(right, ref)
@@ -242,7 +242,7 @@ func referenceCandidates(d dagView, cfg Config) map[string]*candidate {
 // descendant are found when that descendant is visited). Runs in
 // O(E·L) sites with per-site work bounded by the minimal hot length at
 // that site.
-func detectReference(d dagView, cfg Config) []*Stream {
+func detectReference(d *sequitur.DAG, cfg Config) []*Stream {
 	cfg.normalize()
 	cands := referenceCandidates(d, cfg)
 
@@ -301,7 +301,7 @@ func TestDetectMatchesReference(t *testing.T) {
 		names := abstract.New(abstract.BirthID).Abstract(buf).Names
 		g := sequitur.New()
 		g.AppendAll(names)
-		d := NewDAGSource(sequitur.NewDAG(g, 100))
+		d := sequitur.NewDAG(g, 100)
 		for _, heat := range heats {
 			cfg := DefaultConfig(heat)
 			got, want := Detect(d, cfg), detectReference(d, cfg)
@@ -328,7 +328,7 @@ func TestMeasureOnDetectTrie(t *testing.T) {
 		names := abstract.New(abstract.BirthID).Abstract(buf).Names
 		g := sequitur.New()
 		g.AppendAll(names)
-		d := NewDAGSource(sequitur.NewDAG(g, 100))
+		d := sequitur.NewDAG(g, 100)
 		wt := newWindowTable()
 		for _, heat := range heats {
 			cfg := DefaultConfig(heat)
@@ -365,7 +365,7 @@ func TestHotCandidatesMatchReference(t *testing.T) {
 			maxLen int
 			heats  []uint64
 		}{{100, 100, []uint64{2, 5, 17, 33, 67, 150}}, {4, 12, []uint64{3, 6, 9, 12}}} {
-			d := NewDAGSource(sequitur.NewDAG(g, c.affix))
+			d := sequitur.NewDAG(g, c.affix)
 			for _, heat := range c.heats {
 				cfg := Config{MinLen: 2, MaxLen: c.maxLen, Heat: heat}
 				want := map[string]uint64{}
@@ -443,7 +443,7 @@ func FuzzDetect(f *testing.F) {
 		}
 		g := sequitur.New()
 		g.AppendAll(names)
-		d := NewDAGSource(sequitur.NewDAG(g, int(maxLen)%101+1))
+		d := sequitur.NewDAG(g, int(maxLen)%101+1)
 		cfg := Config{MinLen: int(minLen) % 12, MaxLen: int(maxLen) % 101, Heat: uint64(heat)}
 		got, want := Detect(d, cfg), detectReference(d, cfg)
 		if !reflect.DeepEqual(got, want) {

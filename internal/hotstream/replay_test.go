@@ -57,7 +57,7 @@ func TestReplayMatchesMeasure(t *testing.T) {
 		names := abstract.New(abstract.BirthID).Abstract(buf).Names
 		g := sequitur.New()
 		g.AppendAll(names)
-		d := NewDAGSource(sequitur.NewDAG(g, 100))
+		d := sequitur.NewDAG(g, 100)
 		for _, heat := range []uint64{2, 17, 150, 2000} {
 			cfg := DefaultConfig(heat)
 			requireReplayMatches(t, bench, names, Detect(d, cfg), Detect(d, cfg))

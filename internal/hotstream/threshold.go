@@ -6,44 +6,6 @@ import (
 	"repro/internal/sequitur"
 )
 
-// DAGSource adapts a *sequitur.DAG to the detector's view. A rule's id
-// is its postorder position in the DAG.
-type DAGSource struct {
-	D *sequitur.DAG
-}
-
-// NewDAGSource wraps d.
-func NewDAGSource(d *sequitur.DAG) *DAGSource { return &DAGSource{D: d} }
-
-// RuleIDs returns the rules' positions in postorder (children first).
-func (s *DAGSource) RuleIDs() []uint64 {
-	out := make([]uint64, s.D.Len())
-	for i := range out {
-		out[i] = uint64(i)
-	}
-	return out
-}
-
-// Occ returns the rule's occurrence count in the full sequence.
-func (s *DAGSource) Occ(id uint64) uint64 { return s.D.Occ(int(id)) }
-
-// ExpLen returns the rule's expansion length.
-func (s *DAGSource) ExpLen(id uint64) uint64 { return s.D.ExpLen(int(id)) }
-
-// RHSLen returns the number of right-hand-side positions.
-func (s *DAGSource) RHSLen(id uint64) int { return s.D.RHSLen(int(id)) }
-
-// Elem returns position i of the rule's RHS.
-func (s *DAGSource) Elem(id uint64, i int) (uint64, bool) { return s.D.Elem(int(id), i) }
-
-// Prefix returns the first n terminals of the rule's expansion.
-func (s *DAGSource) Prefix(id uint64, n int) []uint64 { return s.D.Prefix(int(id), n) }
-
-// Suffix returns the last n terminals of the rule's expansion.
-func (s *DAGSource) Suffix(id uint64, n int) []uint64 { return s.D.Suffix(int(id), n) }
-
-var _ dagView = (*DAGSource)(nil)
-
 // Threshold reports the outcome of the exploitable-locality threshold
 // search of §5.2: the heat threshold normalized to multiples of the "unit
 // uniform access" (total references / total addresses), which permits
@@ -106,18 +68,24 @@ func window(minLen, maxLen int) (int, int) {
 // multiple, bypassing the coverage-driven search. Coverage is left zero;
 // callers fill it from a subsequent measurement.
 func FixedThreshold(multiple, totalRefs, totalAddrs uint64) Threshold {
+	unit := uniformUnit(totalRefs, totalAddrs)
+	return Threshold{Multiple: multiple, Unit: unit, Heat: heatAt(multiple, unit)}
+}
+
+// uniformUnit is one unit uniform access: totalRefs / totalAddrs, floored
+// at 1 (and 1 when no address was seen).
+func uniformUnit(totalRefs, totalAddrs uint64) float64 {
 	unit := 1.0
 	if totalAddrs > 0 {
 		unit = float64(totalRefs) / float64(totalAddrs)
 	}
-	if unit < 1 {
-		unit = 1
-	}
-	h := uint64(math.Round(float64(multiple) * unit))
-	if h < 1 {
-		h = 1
-	}
-	return Threshold{Multiple: multiple, Unit: unit, Heat: h}
+	return max(unit, 1)
+}
+
+// heatAt is the absolute heat of multiple unit uniform accesses,
+// round(multiple·unit) floored at 1.
+func heatAt(multiple uint64, unit float64) uint64 {
+	return max(uint64(math.Round(float64(multiple)*unit)), 1)
 }
 
 // FindThreshold finds the largest unit-uniform-access multiple whose hot
@@ -133,29 +101,16 @@ func FixedThreshold(multiple, totalRefs, totalAddrs uint64) Threshold {
 // that probe. If even multiple 1 misses the target, multiple 1 is returned
 // with whatever coverage it achieves.
 //
-// Every probe scans seq, the whole reference sequence d represents. The
+// d is the frozen DAG of seq, read in place; every probe scans seq. The
 // probes' detection passes share one window table, and each probe
 // measures on the minimality trie its detection pass left there instead
 // of building a second trie of the same streams.
-func FindThreshold(d dagView, seq []uint64, totalRefs, totalAddrs uint64, cfg SearchConfig) (Threshold, *Measurement) {
+func FindThreshold(d *sequitur.DAG, seq []uint64, totalRefs, totalAddrs uint64, cfg SearchConfig) (Threshold, *Measurement) {
 	cfg = cfg.Normalized()
-	unit := 1.0
-	if totalAddrs > 0 {
-		unit = float64(totalRefs) / float64(totalAddrs)
-	}
-	if unit < 1 {
-		unit = 1
-	}
-	heatOf := func(m uint64) uint64 {
-		h := uint64(math.Round(float64(m) * unit))
-		if h < 1 {
-			h = 1
-		}
-		return h
-	}
+	unit := uniformUnit(totalRefs, totalAddrs)
 	wt := newWindowTable()
 	eval := func(m uint64) *Measurement {
-		c := Config{MinLen: cfg.MinLen, MaxLen: cfg.MaxLen, Heat: heatOf(m)}
+		c := Config{MinLen: cfg.MinLen, MaxLen: cfg.MaxLen, Heat: heatAt(m, unit)}
 		streams := detect(d, c, wt)
 		// detect left wt.minimal indexing exactly these streams, stream
 		// i as i, in the order trieOf(streams) would insert them, so
@@ -168,8 +123,11 @@ func FindThreshold(d dagView, seq []uint64, totalRefs, totalAddrs uint64, cfg Se
 
 	bestM := uint64(1)
 	best := eval(1)
+	result := func() (Threshold, *Measurement) {
+		return Threshold{Multiple: bestM, Unit: unit, Heat: heatAt(bestM, unit), Coverage: best.Coverage()}, best
+	}
 	if best.Coverage() < cfg.CoverageTarget {
-		return Threshold{Multiple: 1, Unit: unit, Heat: heatOf(1), Coverage: best.Coverage()}, best
+		return result()
 	}
 	// Exponential probe for the first failing multiple.
 	lo, hi := uint64(1), uint64(0)
@@ -184,7 +142,7 @@ func FindThreshold(d dagView, seq []uint64, totalRefs, totalAddrs uint64, cfg Se
 	}
 	if hi == 0 {
 		// Never failed within the cap.
-		return Threshold{Multiple: bestM, Unit: unit, Heat: heatOf(bestM), Coverage: best.Coverage()}, best
+		return result()
 	}
 	// Binary search the boundary in (lo, hi).
 	for lo+1 < hi {
@@ -196,5 +154,5 @@ func FindThreshold(d dagView, seq []uint64, totalRefs, totalAddrs uint64, cfg Se
 			hi = mid
 		}
 	}
-	return Threshold{Multiple: bestM, Unit: unit, Heat: heatOf(bestM), Coverage: best.Coverage()}, best
+	return result()
 }

@@ -1,6 +1,10 @@
 package hotstream
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/sequitur"
+)
 
 // windowTable collects Detect's candidate windows: every distinct
 // subsequence seen at some site, with the occurrence mass summed over the
@@ -145,7 +149,7 @@ func (t *windowTable) deferRun(lo, hi, n int) {
 	t.singleWins += hi - lo
 }
 
-// deferRule keeps every boundary-crossing window of rule id, which
+// deferRule keeps every boundary-crossing window of rule p, which
 // occurs once, for addRepeated: when no site of another mass shares the
 // windows' length, they can only reach frequency 2 by repeating among
 // themselves, and most do not (at a low heat they are the root rule's,
@@ -156,8 +160,8 @@ func (t *windowTable) deferRun(lo, hi, n int) {
 // its first and last n-1 terminals, with a break between that no window
 // crosses. Each terminal is copied at most once, where the site contexts
 // copy it once per window that reaches it. It reports false, with the
-// table unchanged, if the view holds shorter affixes than this needs.
-func (t *windowTable) deferRule(d dagView, id uint64, n int) bool {
+// table unchanged, if the DAG holds shorter affixes than this needs.
+func (t *windowTable) deferRule(d *sequitur.DAG, p, n int) bool {
 	base, runs, wins := len(t.arena), len(t.singles), t.singleWins
 	// clip ends the runs deferred since the last break at the last
 	// window that fits before limit.
@@ -172,16 +176,16 @@ func (t *windowTable) deferRule(d dagView, id uint64, n int) bool {
 		}
 		seg = len(t.singles)
 	}
-	k := d.RHSLen(id)
+	k := d.RHSLen(p)
 	for b := 0; b < k; b++ {
 		start := len(t.arena)
-		if ref, isRule := d.Elem(id, b); !isRule {
+		if ref, isRule := d.Elem(p, b); !isRule {
 			t.arena = append(t.arena, ref)
 		} else {
-			l := int(d.ExpLen(ref))
+			l := int(d.ExpLen(int(ref)))
 			a := min(l, n-1)
 			rest := min(l-a, n-1)
-			pre, suf := d.Prefix(ref, a), d.Suffix(ref, rest)
+			pre, suf := d.Prefix(int(ref), a), d.Suffix(int(ref), rest)
 			if len(pre) != a || len(suf) != rest {
 				t.arena, t.singles, t.singleWins = t.arena[:base], t.singles[:runs], wins
 				return false

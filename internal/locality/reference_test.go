@@ -68,7 +68,7 @@ func searchedStreams(tb testing.TB, bench string) ([]*hotstream.Stream, map[uint
 	res := abstract.New(abstract.BirthID).Abstract(buf)
 	g := sequitur.New()
 	g.AppendAll(res.Names)
-	d := hotstream.NewDAGSource(sequitur.NewDAG(g, 100))
+	d := sequitur.NewDAG(g, 100)
 	_, m := hotstream.FindThreshold(d, res.Names, uint64(len(res.Names)),
 		buf.Stats().Addresses, hotstream.SearchConfig{})
 	return m.Streams, res.Objects

@@ -42,9 +42,9 @@ func TestEmptyEngineFootprint(t *testing.T) {
 // Steady-state ingest allocates nothing per record, so the count is the
 // engine's construction plus the O(log n) growth steps of its tables and
 // slabs; a per-record allocation would add tens of thousands. The
-// ceiling is scripts/bench-ingest.sh's: the 64 allocations committed in
-// BENCH_ingest.json plus its 20% and 16 of slack. Allocation counts do
-// not depend on the host, so the gate holds anywhere.
+// ceiling is 64 allocations, once measured on this path with presized
+// tables, plus 20% and 16 of slack. Allocation counts do not depend on
+// the host, so the gate holds anywhere.
 func TestOnlineIngestAllocs(t *testing.T) {
 	const ceiling = 92
 	b := genTrace(t, "boxsim", 60_000)

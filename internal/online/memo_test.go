@@ -151,7 +151,7 @@ func TestRepeatSnapshotOfEmptyEngine(t *testing.T) {
 // replays its remembered counts onto them.
 func rememberedCounts(t *testing.T, e *Engine) ([]*hotstream.Stream, *hotstream.Measurement) {
 	t.Helper()
-	d := hotstream.NewDAGSource(sequitur.NewDAG(e.g, e.opts.MaxStreamLen))
+	d := sequitur.NewDAG(e.g, e.opts.MaxStreamLen)
 	streams := hotstream.Detect(d, hotstream.Config{
 		MinLen: e.opts.MinStreamLen, MaxLen: e.opts.MaxStreamLen, Heat: e.memo.th.Heat,
 	})

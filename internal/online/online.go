@@ -287,7 +287,6 @@ func (e *Engine) Snapshot() *Snapshot {
 	hit := e.memo.counts != nil && e.memo.at == e.events
 	var stats trace.Stats
 	var dag *sequitur.DAG
-	var dsrc *hotstream.DAGSource
 	var seq []uint64
 	var th hotstream.Threshold
 	var cfg hotstream.Config
@@ -302,7 +301,6 @@ func (e *Engine) Snapshot() *Snapshot {
 		}},
 		pipeline.Stage{Name: pipeline.StageSequitur, Run: func() error {
 			dag = sequitur.NewDAG(e.g, e.opts.MaxStreamLen)
-			dsrc = hotstream.NewDAGSource(dag)
 			grammar = dag.ComputeStats()
 			if !hit {
 				seq = dag.Expand()
@@ -316,7 +314,7 @@ func (e *Engine) Snapshot() *Snapshot {
 			case hit:
 				th = e.memo.th
 			default:
-				th, meas = hotstream.FindThreshold(dsrc, seq, refs, stats.Addresses, hotstream.SearchConfig{
+				th, meas = hotstream.FindThreshold(dag, seq, refs, stats.Addresses, hotstream.SearchConfig{
 					MinLen:         e.opts.MinStreamLen,
 					MaxLen:         e.opts.MaxStreamLen,
 					CoverageTarget: e.opts.CoverageTarget,
@@ -327,7 +325,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		}},
 		pipeline.Stage{Name: pipeline.StageDetect, Run: func() error {
 			if meas == nil {
-				streams = hotstream.Detect(dsrc, cfg)
+				streams = hotstream.Detect(dag, cfg)
 			}
 			return nil
 		}},

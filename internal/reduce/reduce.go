@@ -114,14 +114,13 @@ func Run(reg *obs.Registry, names []uint64, totalAddrs uint64, opts Options) *Pi
 			p.Levels = append(p.Levels, level)
 			break
 		}
-		dag := hotstream.NewDAGSource(w.DAG)
 		var th hotstream.Threshold
 		var searched *hotstream.Measurement
 		_ = pipeline.Time(reg, pipeline.StageThreshold, func() error {
 			if opts.FixedMultiple > 0 {
 				th = hotstream.FixedThreshold(opts.FixedMultiple, uint64(len(cur)), curAddrs)
 			} else {
-				th, searched = hotstream.FindThreshold(dag, cur, uint64(len(cur)), curAddrs, scfg)
+				th, searched = hotstream.FindThreshold(w.DAG, cur, uint64(len(cur)), curAddrs, scfg)
 			}
 			return nil
 		})
@@ -144,7 +143,7 @@ func Run(reg *obs.Registry, names []uint64, totalAddrs uint64, opts Options) *Pi
 			if searched != nil {
 				streams = searched.Streams
 			} else {
-				streams = hotstream.Detect(dag, cfg)
+				streams = hotstream.Detect(w.DAG, cfg)
 			}
 			return nil
 		})

@@ -30,7 +30,7 @@ var ErrFrozen = errors.New("sequitur: grammar loaded from binary is read-only")
 // the number of bytes written.
 func (d *DAG) WriteBinary(w io.Writer) (int64, error) {
 	ww := wire.NewWriter(w, codecMagic)
-	ww.Uvarint(uint64(len(d.Order)))
+	ww.Uvarint(uint64(d.Len()))
 	for _, sp := range d.rhs {
 		ww.Uvarint(uint64(sp.hi - sp.lo))
 		for s := sp.lo; s < sp.hi; s++ {

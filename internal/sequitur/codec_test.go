@@ -57,7 +57,7 @@ func TestBinaryRoundTripRandom(t *testing.T) {
 		}
 		// The loaded grammar supports full DAG analysis.
 		d := NewDAG(g2, 50)
-		if root := d.Pos(g2.Root()); d.ExpLen(root) != 2000 {
+		if root := d.Root(); d.ExpLen(root) != 2000 {
 			t.Fatalf("trial %d: root expansion %d", trial, d.ExpLen(root))
 		}
 	}

@@ -1,9 +1,11 @@
 package sequitur
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 )
 
 // DAG is the analysis view of a grammar: the directed acyclic graph Larus
@@ -18,31 +20,24 @@ import (
 // which the hot-data-stream analysis needs to weight boundary-crossing
 // subsequences.
 //
-// Rules are named by their postorder position: Order[p] is the rule at
-// position p, and every per-rule quantity is a flat slice indexed by p.
-// Building a DAG writes nothing into the grammar.
+// Rules are named by their postorder position p, children first, and
+// every per-rule quantity is a flat slice indexed by p. Building a DAG
+// writes nothing into the grammar.
 // Right-hand sides are copied out of the grammar's linked symbol arena
 // into two shared backings (rule references as positions, and terminal
 // values), and the prefix/suffix affixes share two more, so building a
 // DAG allocates a handful of slices and no maps whatever the grammar's
 // size. The positions are the WPS1 codec's rule numbering.
 //
-// A DAG is immutable after NewDAG: every memoization (occurrence
-// counts, expansion lengths, prefix/suffix affixes, the postorder
-// positions) is computed eagerly at construction, so any number of
-// goroutines may read one DAG concurrently — the parallel analysis
-// engine relies on this for concurrent detection and sizing passes.
-// The underlying Grammar must not be appended to while the DAG is in
-// use.
+// A DAG is a frozen value: NewDAG copies everything it later reads,
+// each rule's ID and the root's position included, and computes every
+// memoization (occurrence counts, expansion lengths, prefix/suffix
+// affixes) eagerly. It keeps no pointer into the grammar: once NewDAG
+// returns, the grammar may go on growing while any number of goroutines
+// read the DAG.
 type DAG struct {
-	G *Grammar
-	// Order lists rules in reverse topological order: every rule appears
-	// after all rules it references (children first), so Order[len-1] is
-	// the root. This is the postorder the detection algorithm traverses,
-	// and a rule's index here is its position.
-	Order []*Rule
-
-	pos  []int32 // Rule.self -> position
+	root int32    // the root's position
+	ids  []uint64 // position -> rule ID
 	occ  []uint64
 	lens []uint64
 	// Rule p's right-hand side is refs/terms[rhs[p].lo:rhs[p].hi]: at
@@ -67,9 +62,8 @@ func NewDAG(g *Grammar, maxAffix int) *DAG {
 	if maxAffix < 1 {
 		maxAffix = 1
 	}
-	d := &DAG{G: g, maxAffix: maxAffix}
-	bySlot := d.copyRHS()
-	d.postorder(bySlot)
+	d := &DAG{maxAffix: maxAffix}
+	d.postorder(g, d.copyRHS(g))
 	d.computeOcc()
 	d.computeLens()
 	d.computeAffixes()
@@ -79,8 +73,7 @@ func NewDAG(g *Grammar, maxAffix int) *DAG {
 // copyRHS copies every live rule's right-hand side into the shared
 // backings in one pass over the arena's rule slots, with references
 // named by rule slot for now. It returns each slot's span.
-func (d *DAG) copyRHS() []span {
-	g := d.G
+func (d *DAG) copyRHS(g *Grammar) []span {
 	slots := g.arena.ruleSlots
 	bySlot := make([]span, len(slots))
 	// Every allocated symbol that is neither free nor a guard sits in a
@@ -113,23 +106,22 @@ func (d *DAG) copyRHS() []span {
 }
 
 // postorder orders rules children-first via an iterative DFS from the
-// root, assigns each its position, lays the spans out by position, and
-// renames every reference from its rule slot to its position.
-// Unreachable rules (none exist in a well-formed grammar) are appended at
-// the end for robustness.
-func (d *DAG) postorder(bySlot []span) {
-	g := d.G
+// root, assigns each its position, lays the spans and rule IDs out by
+// position, and renames every reference from its rule slot to its
+// position. Unreachable rules (none exist in a well-formed grammar) are
+// appended at the end for robustness.
+func (d *DAG) postorder(g *Grammar, bySlot []span) {
 	slots := g.arena.ruleSlots
 	const unseen, onStack = -1, -2
-	d.pos = make([]int32, len(slots))
-	for i := range d.pos {
-		d.pos[i] = unseen
+	pos := make([]int32, len(slots)) // rule slot -> position
+	for i := range pos {
+		pos[i] = unseen
 	}
-	d.Order = make([]*Rule, 0, g.nRules)
+	d.ids = make([]uint64, 0, g.nRules)
 	d.rhs = make([]span, 0, g.nRules)
 	emit := func(h ruleID) {
-		d.pos[h] = int32(len(d.Order))
-		d.Order = append(d.Order, slots[h])
+		pos[h] = int32(len(d.ids))
+		d.ids = append(d.ids, slots[h].id)
 		d.rhs = append(d.rhs, bySlot[h])
 	}
 	// A frame is a rule slot and the next symbol of its span to visit.
@@ -139,19 +131,19 @@ func (d *DAG) postorder(bySlot []span) {
 	}
 	stack := make([]frame, 1, 64)
 	stack[0] = frame{g.root.self, bySlot[g.root.self].lo}
-	d.pos[g.root.self] = onStack
+	pos[g.root.self] = onStack
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
 		hi := bySlot[top.h].hi
 		var child ruleID
 		for top.next < hi && child == nilRule {
-			if ref := d.refs[top.next]; ref >= 0 && d.pos[ref] == unseen {
+			if ref := d.refs[top.next]; ref >= 0 && pos[ref] == unseen {
 				child = ruleID(ref)
 			}
 			top.next++
 		}
 		if child != nilRule {
-			d.pos[child] = onStack
+			pos[child] = onStack
 			stack = append(stack, frame{child, bySlot[child].lo})
 			continue
 		}
@@ -159,22 +151,23 @@ func (d *DAG) postorder(bySlot []span) {
 		stack = stack[:len(stack)-1]
 	}
 	for h, r := range slots {
-		if r != nil && d.pos[h] == unseen {
+		if r != nil && pos[h] == unseen {
 			emit(ruleID(h))
 		}
 	}
 	for i, ref := range d.refs {
 		if ref >= 0 {
-			d.refs[i] = d.pos[ref]
+			d.refs[i] = pos[ref]
 		}
 	}
+	d.root = pos[g.root.self]
 }
 
 // computeOcc propagates occurrence counts root-down (reverse postorder).
 func (d *DAG) computeOcc() {
-	d.occ = make([]uint64, len(d.Order))
-	d.occ[d.pos[d.G.root.self]] = 1
-	for p := len(d.Order) - 1; p >= 0; p-- {
+	d.occ = make([]uint64, d.Len())
+	d.occ[d.root] = 1
+	for p := d.Len() - 1; p >= 0; p-- {
 		n := d.occ[p]
 		if n == 0 {
 			continue
@@ -189,8 +182,8 @@ func (d *DAG) computeOcc() {
 
 // computeLens fills each rule's expansion length, children first.
 func (d *DAG) computeLens() {
-	d.lens = make([]uint64, len(d.Order))
-	for p := range d.Order {
+	d.lens = make([]uint64, d.Len())
+	for p := range d.lens {
 		var n uint64
 		for _, ref := range d.refsOf(p) {
 			if ref < 0 {
@@ -207,14 +200,14 @@ func (d *DAG) computeLens() {
 // maxAffix terminals, children first, into two backings sized to the
 // affixes' total length.
 func (d *DAG) computeAffixes() {
-	d.aff = make([]int, len(d.Order)+1)
+	d.aff = make([]int, d.Len()+1)
 	for p, n := range d.lens {
 		d.aff[p+1] = d.aff[p] + int(min(n, uint64(d.maxAffix)))
 	}
-	total := d.aff[len(d.Order)]
+	total := d.aff[d.Len()]
 	d.pre = make([]uint64, total)
 	d.suf = make([]uint64, total)
-	for p := range d.Order {
+	for p := range d.rhs {
 		lo, hi := d.aff[p], d.aff[p+1]
 		sp := d.rhs[p]
 		// The prefix fills forward from lo, the suffix backward from hi.
@@ -249,10 +242,13 @@ func (d *DAG) refsOf(p int) []int32 {
 }
 
 // Len returns the number of rules, the root included.
-func (d *DAG) Len() int { return len(d.Order) }
+func (d *DAG) Len() int { return len(d.ids) }
 
-// Pos returns rule r's postorder position.
-func (d *DAG) Pos(r *Rule) int { return int(d.pos[r.self]) }
+// Root returns the root's position.
+func (d *DAG) Root() int { return int(d.root) }
+
+// ID returns the grammar's ID for the rule at position p.
+func (d *DAG) ID(p int) uint64 { return d.ids[p] }
 
 // Occ returns the number of occurrences of rule p's expansion in the full
 // input string.
@@ -297,13 +293,12 @@ func (d *DAG) Suffix(p, n int) []uint64 {
 // per repeated occurrence. It uses an explicit stack, so arbitrarily deep
 // grammars cannot overflow the goroutine stack.
 func (d *DAG) Expand() []uint64 {
-	root := d.pos[d.G.root.self]
-	out := make([]uint64, d.ExpLen(int(root)))
+	out := make([]uint64, d.lens[d.root])
 	// at[p] is one past where rule p's first expansion starts in out,
 	// zero until it has one.
-	at := make([]int, len(d.Order))
+	at := make([]int, d.Len())
 	stack := make([]span, 1, 64)
-	stack[0] = d.rhs[root]
+	stack[0] = d.rhs[d.root]
 	w := 0
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
@@ -358,14 +353,14 @@ func (s Stats) CompressionRatio() float64 {
 // ComputeStats sizes the grammar. ASCIIBytes is counted, not rendered:
 // it equals the number of bytes WriteASCII writes.
 func (d *DAG) ComputeStats() Stats {
-	st := Stats{Rules: d.G.nRules, InputLen: d.G.input, Symbols: len(d.refs)}
+	st := Stats{Rules: d.Len(), InputLen: d.lens[d.root], Symbols: len(d.refs)}
 	terms := newTermSet(len(d.refs))
-	for p, r := range d.Order {
-		st.ASCIIBytes += decimalLen(r.id) + 4 // "id ->" plus newline
+	for p, id := range d.ids {
+		st.ASCIIBytes += decimalLen(id) + 4 // "id ->" plus newline
 		sp := d.rhs[p]
 		for i := sp.lo; i < sp.hi; i++ {
 			if ref := d.refs[i]; ref >= 0 {
-				st.ASCIIBytes += decimalLen(d.Order[ref].id) + 2 // " R" and the id
+				st.ASCIIBytes += decimalLen(d.ids[ref]) + 2 // " R" and the id
 			} else {
 				st.ASCIIBytes += decimalLen(d.terms[i]) + 1 // " " and the value
 				terms.add(d.terms[i])
@@ -422,17 +417,22 @@ func (t *termSet) add(v uint64) {
 // Rules print in ascending ID order. It returns the number of bytes
 // written.
 func (d *DAG) WriteASCII(w io.Writer) (int64, error) {
+	byID := make([]int32, d.Len())
+	for p := range byID {
+		byID[p] = int32(p)
+	}
+	slices.SortFunc(byID, func(a, b int32) int { return cmp.Compare(d.ids[a], d.ids[b]) })
 	var total int64
-	for _, r := range d.G.liveRulesSorted() {
-		n, err := fmt.Fprintf(w, "%d ->", r.id)
+	for _, p := range byID {
+		n, err := fmt.Fprintf(w, "%d ->", d.ids[p])
 		total += int64(n)
 		if err != nil {
 			return total, err
 		}
-		sp := d.rhs[d.pos[r.self]]
+		sp := d.rhs[p]
 		for i := sp.lo; i < sp.hi; i++ {
 			if ref := d.refs[i]; ref >= 0 {
-				n, err = fmt.Fprintf(w, " R%d", d.Order[ref].id)
+				n, err = fmt.Fprintf(w, " R%d", d.ids[ref])
 			} else {
 				n, err = fmt.Fprintf(w, " %d", d.terms[i])
 			}

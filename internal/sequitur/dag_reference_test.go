@@ -318,16 +318,16 @@ func TestDAGMatchesReference(t *testing.T) {
 		for _, maxAffix := range []int{1, 8, 100} {
 			ref := newRefDAG(g, maxAffix)
 			d := NewDAG(g, maxAffix)
-			if !reflect.DeepEqual(d.Order, ref.Order) {
-				t.Fatalf("%s maxAffix %d: postorder differs", name, maxAffix)
-			}
 			if d.Len() != len(ref.Order) {
 				t.Fatalf("%s: Len %d, reference %d rules", name, d.Len(), len(ref.Order))
 			}
-			for p, r := range d.Order {
-				id := r.ID()
-				if d.Pos(r) != p {
-					t.Fatalf("%s: rule %d at position %d reports Pos %d", name, id, p, d.Pos(r))
+			if d.Root() != ref.orderIdx[g.Root().ID()] {
+				t.Fatalf("%s: root at position %d, reference %d", name, d.Root(), ref.orderIdx[g.Root().ID()])
+			}
+			for p := range d.Len() {
+				id := d.ID(p)
+				if id != ref.Order[p].ID() {
+					t.Fatalf("%s maxAffix %d: postorder differs at position %d", name, maxAffix, p)
 				}
 				if d.Occ(p) != ref.Occ[id] || d.ExpLen(p) != ref.lens[id] {
 					t.Fatalf("%s: rule %d occ/len %d/%d, reference %d/%d",
@@ -340,7 +340,7 @@ func TestDAGMatchesReference(t *testing.T) {
 				for i := range rhs.Refs {
 					v, isRule := d.Elem(p, i)
 					if isRule {
-						v = d.Order[v].ID()
+						v = d.ID(int(v))
 					}
 					want, wantRule := rhs.Terminals[i], rhs.Refs[i] != nil
 					if wantRule {

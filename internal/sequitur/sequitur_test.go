@@ -40,8 +40,8 @@ func TestPaperFigure3Grammar(t *testing.T) {
 	}
 	d := NewDAG(g, 100)
 	expansions := map[string]bool{}
-	for p, r := range d.Order {
-		if r == g.Root() {
+	for p := range d.Len() {
+		if p == d.Root() {
 			continue
 		}
 		full := expandRule(d, p)
@@ -153,7 +153,7 @@ func TestDAGOccAndLens(t *testing.T) {
 	g := build(t, "abcabcabc")
 	d := NewDAG(g, 100)
 	// Root occurs once and expands to 9 terminals.
-	root := d.Pos(g.Root())
+	root := d.Root()
 	if d.Occ(root) != 1 {
 		t.Errorf("root occ = %d", d.Occ(root))
 	}
@@ -162,18 +162,18 @@ func TestDAGOccAndLens(t *testing.T) {
 	}
 	// Every non-root rule's occurrences times its uses relation: occ must
 	// be >= 2 (rule utility) and expansion of all rules reconstructs.
-	for p, r := range d.Order {
-		if r == g.Root() {
+	for p := range d.Len() {
+		if p == d.Root() {
 			continue
 		}
 		if d.Occ(p) < 2 {
-			t.Errorf("rule %d occ = %d, want >= 2", r.ID(), d.Occ(p))
+			t.Errorf("rule %d occ = %d, want >= 2", d.ID(p), d.Occ(p))
 		}
 	}
 	// Sum over rules of occ * (terminals directly in RHS) must equal the
 	// input length.
 	var total uint64
-	for p := range d.Order {
+	for p := range d.Len() {
 		var direct uint64
 		for i := 0; i < d.RHSLen(p); i++ {
 			if _, isRule := d.Elem(p, i); !isRule {
@@ -190,7 +190,7 @@ func TestDAGOccAndLens(t *testing.T) {
 func TestDAGPrefixSuffix(t *testing.T) {
 	g := build(t, "abcdeabcde")
 	d := NewDAG(g, 3)
-	root := d.Pos(g.Root())
+	root := d.Root()
 	if got := d.Prefix(root, 3); !reflect.DeepEqual(got, sym("abc")) {
 		t.Errorf("prefix = %v, want abc", got)
 	}
@@ -205,18 +205,14 @@ func TestDAGPrefixSuffix(t *testing.T) {
 func TestTopoOrderChildrenFirst(t *testing.T) {
 	g := build(t, "abcbcabcabcabcbcabcabc")
 	d := NewDAG(g, 100)
-	pos := make(map[uint64]int)
-	for i, r := range d.Order {
-		pos[r.ID()] = i
-	}
-	for _, r := range d.Order {
-		for _, ref := range r.RHS().Refs {
-			if ref != nil && pos[ref.ID()] >= pos[r.ID()] {
-				t.Fatalf("rule %d referenced rule %d does not precede it", r.ID(), ref.ID())
+	for p := range d.Len() {
+		for i := range d.RHSLen(p) {
+			if ref, isRule := d.Elem(p, i); isRule && int(ref) >= p {
+				t.Fatalf("rule %d referenced rule %d does not precede it", d.ID(p), d.ID(int(ref)))
 			}
 		}
 	}
-	if d.Order[len(d.Order)-1] != g.Root() {
+	if d.Root() != d.Len()-1 || d.ID(d.Root()) != g.Root().ID() {
 		t.Error("root is not last in postorder")
 	}
 }

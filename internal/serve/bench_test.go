@@ -13,9 +13,9 @@ import (
 	"repro/internal/online"
 )
 
-// benchScale mirrors the root package's BENCH_SCALE knob so
-// scripts/bench-ingest.sh can size the in-process and over-the-wire
-// benchmarks identically.
+// benchScale mirrors the root package's BENCH_SCALE knob so the
+// in-process and over-the-wire ingest benchmarks can be sized
+// identically.
 func benchScale() int {
 	if s := os.Getenv("BENCH_SCALE"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
@@ -32,9 +32,9 @@ func benchScale() int {
 // per record, so the count is request handling, session and engine
 // construction, and the O(log n) growth steps of the engine's tables
 // and slabs; a per-record allocation would add tens of thousands. The
-// ceiling is scripts/bench-ingest.sh's: the 193 allocations committed
-// in BENCH_ingest.json plus its 20% and 16 of slack. Allocation counts
-// do not depend on the host, so the gate holds anywhere.
+// ceiling is 193 allocations, once measured on this path, plus 20% and
+// 16 of slack. Allocation counts do not depend on the host, so the gate
+// holds anywhere.
 func TestHTTPIngestAllocs(t *testing.T) {
 	const ceiling = 247
 	ts := httptest.NewServer(New(online.Options{}, 1, nil).Handler())
@@ -66,8 +66,7 @@ func TestHTTPIngestAllocs(t *testing.T) {
 // request handling, batched decode straight off the body, and the
 // per-session engine loop, one whole upload per iteration into a fresh
 // session. records/op divided by ns/op gives sustained records per
-// nanosecond at the service boundary — the number BENCH_ingest.json
-// tracks against the 5M rec/s wire target.
+// nanosecond at the service boundary.
 func BenchmarkHTTPIngest(b *testing.B) {
 	ts := httptest.NewServer(New(online.Options{}, 1, nil).Handler())
 	defer ts.Close()

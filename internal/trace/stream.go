@@ -190,15 +190,3 @@ func (tr *Reader) ReadChunk(dst []Event) (int, error) {
 	}
 	return n, nil
 }
-
-// StreamStats computes Table-1 statistics directly from an encoded
-// stream in one pass, holding no events: the streaming counterpart of
-// ReadAll followed by Buffer.Stats.
-func StreamStats(r io.Reader) (Stats, error) {
-	acc := NewStatsAccum()
-	err := NewReader(r).ForEach(func(e Event) error {
-		acc.Add(e)
-		return nil
-	})
-	return acc.Stats(), err
-}

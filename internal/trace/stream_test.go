@@ -49,18 +49,6 @@ func TestStatsAccumMatchesBufferStats(t *testing.T) {
 	}
 }
 
-func TestStreamStatsMatchesReadAll(t *testing.T) {
-	b := streamFixture()
-	enc := encode(t, b)
-	got, err := StreamStats(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := b.Stats(); got != want {
-		t.Errorf("StreamStats = %+v, want %+v", got, want)
-	}
-}
-
 func TestReaderForEach(t *testing.T) {
 	b := streamFixture()
 	enc := encode(t, b)

@@ -74,8 +74,7 @@ func Build(pt *PathTrace) *WPP {
 // HotSubpaths detects hot subpaths at the largest threshold covering the
 // target fraction of path records (the same 90% rule the data side uses).
 func (w *WPP) HotSubpaths(coverageTarget float64) (hotstream.Threshold, []*hotstream.Stream) {
-	d := hotstream.NewDAGSource(w.DAG)
-	th, meas := hotstream.FindThreshold(d, w.Trace.IDs, uint64(len(w.Trace.IDs)),
+	th, meas := hotstream.FindThreshold(w.DAG, w.Trace.IDs, uint64(len(w.Trace.IDs)),
 		uint64(w.Trace.Distinct), hotstream.SearchConfig{CoverageTarget: coverageTarget})
 	return th, meas.Streams
 }

@@ -137,7 +137,7 @@ func TestEndToEndOnWorkload(t *testing.T) {
 	}
 	res := abstract.New(abstract.BirthID).Abstract(b)
 	// Quick data-side detection at a fixed heat.
-	wref := hotstream.NewDAGSource(wps.Build(res.Names, wps.DefaultOptions()).DAG)
+	wref := wps.Build(res.Names, wps.DefaultOptions()).DAG
 	cfg := hotstream.Config{MinLen: 2, MaxLen: 100, Heat: 100}
 	streams := hotstream.Detect(wref, cfg)
 	meas := hotstream.Measure(res.Names, streams, cfg, 0, false)

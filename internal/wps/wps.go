@@ -15,11 +15,10 @@ import (
 	"repro/internal/sequitur"
 )
 
-// WPS is a Whole Program Stream: a SEQUITUR grammar over abstracted data
-// reference names plus its frozen DAG view.
+// WPS is a Whole Program Stream: the frozen DAG view of a SEQUITUR
+// grammar over abstracted data reference names. The DAG owns everything
+// it reads, so the grammar it was built from is not retained.
 type WPS struct {
-	// Grammar is the underlying SEQUITUR grammar.
-	Grammar *sequitur.Grammar
 	// DAG is the analysis view (rule occurrence counts, expansion
 	// lengths, bounded prefixes/suffixes).
 	DAG *sequitur.DAG
@@ -55,7 +54,6 @@ func Build(names []uint64, opts Options) *WPS {
 		panic(err)
 	}
 	return &WPS{
-		Grammar: g,
 		DAG:     sequitur.NewDAG(g, opts.MaxStreamLen),
 		NumRefs: uint64(len(names)),
 	}
@@ -64,14 +62,6 @@ func Build(names []uint64, opts Options) *WPS {
 // Size reports the representation's size statistics (Figure 5's WPS bars).
 func (w *WPS) Size() sequitur.Stats { return w.DAG.ComputeStats() }
 
-// Regenerate materializes the full abstracted reference sequence. Intended
-// for the reduction pipeline and tests.
-func (w *WPS) Regenerate() []uint64 { return w.DAG.Expand() }
-
-// WriteASCII renders the grammar in the textual form whose size the paper
-// reports for WPS representations.
-func (w *WPS) WriteASCII(out io.Writer) (int64, error) { return w.DAG.WriteASCII(out) }
-
 // WriteBinary persists the WPS in the compact binary form (§5.2 notes the
 // binary representation is about half the ASCII size).
 func (w *WPS) WriteBinary(out io.Writer) (int64, error) { return w.DAG.WriteBinary(out) }
@@ -79,9 +69,8 @@ func (w *WPS) WriteBinary(out io.Writer) (int64, error) { return w.DAG.WriteBina
 // BinarySize reports the binary encoding's size without writing.
 func (w *WPS) BinarySize() uint64 { return w.DAG.BinarySize() }
 
-// LoadBinary reloads a persisted WPS for analysis. The underlying grammar
-// is read-only; maxStreamLen bounds the DAG's affix memoization as in
-// Build.
+// LoadBinary reloads a persisted WPS for analysis; maxStreamLen bounds
+// the DAG's affix memoization as in Build.
 func LoadBinary(r io.Reader, maxStreamLen int) (*WPS, error) {
 	g, err := sequitur.ReadBinary(r)
 	if err != nil {
@@ -91,7 +80,6 @@ func LoadBinary(r io.Reader, maxStreamLen int) (*WPS, error) {
 		maxStreamLen = 100
 	}
 	return &WPS{
-		Grammar: g,
 		DAG:     sequitur.NewDAG(g, maxStreamLen),
 		NumRefs: g.InputLen(),
 	}, nil

@@ -22,7 +22,7 @@ func TestBuildAndRegenerate(t *testing.T) {
 	if w.NumRefs != 5000 {
 		t.Errorf("NumRefs = %d", w.NumRefs)
 	}
-	if !reflect.DeepEqual(w.Regenerate(), in) {
+	if !reflect.DeepEqual(w.DAG.Expand(), in) {
 		t.Fatal("regeneration mismatch")
 	}
 }
@@ -57,7 +57,7 @@ func TestRandomInputBarelyCompresses(t *testing.T) {
 func TestWriteASCII(t *testing.T) {
 	w := Build(names(100, 4), DefaultOptions())
 	var sb strings.Builder
-	n, err := w.WriteASCII(&sb)
+	n, err := w.DAG.WriteASCII(&sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestBinaryPersistRoundTrip(t *testing.T) {
 	if w2.NumRefs != w.NumRefs {
 		t.Errorf("NumRefs %d != %d", w2.NumRefs, w.NumRefs)
 	}
-	if !reflect.DeepEqual(w2.Regenerate(), in) {
+	if !reflect.DeepEqual(w2.DAG.Expand(), in) {
 		t.Fatal("reloaded WPS regenerates differently")
 	}
 }
