@@ -151,6 +151,8 @@ func TestGatewayHistory(t *testing.T) {
 // TestGatewayRejectsNullFingerprint: a shard whose fingerprint listing
 // holds a null entry is a bad upstream answer. Every fleet view the
 // gateway computes from the listing answers 502 instead of panicking.
+// The gateway gathers listings from /v1/fleet/gather in the varint
+// form, which has no null; a JSON listing there is malformed.
 func TestGatewayRejectsNullFingerprint(t *testing.T) {
 	gw := New(0, 2, nil)
 	gwTS := httptest.NewServer(gw.Handler())
@@ -159,7 +161,7 @@ func TestGatewayRejectsNullFingerprint(t *testing.T) {
 		gw.CloseShards()
 	})
 	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/fleet/fingerprints" {
+		if r.URL.Path != "/v1/fleet/gather" {
 			http.NotFound(w, r)
 			return
 		}

@@ -16,7 +16,9 @@
 package fleet
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"repro/internal/online"
 )
@@ -40,13 +42,9 @@ type Stream struct {
 	Sessions int `json:"sessions"`
 }
 
-// Key renders the abstracted sequence for set comparison (8 bytes per
-// symbol, the internal/regress technique).
-func Key(seq []uint64) string {
-	return string(appendKey(make([]byte, 0, len(seq)*8), seq))
-}
-
-// appendKey appends seq's key bytes to b.
+// appendKey appends seq's key to b: 8 bytes per symbol, least
+// significant first (the internal/regress technique). Equal keys mean
+// equal sequences, and the canonical stream order sorts ties by key.
 func appendKey(b []byte, seq []uint64) []byte {
 	for _, v := range seq {
 		b = append(b,
@@ -79,16 +77,34 @@ type Fingerprint struct {
 // canonicalize sorts streams into the canonical order and recomputes
 // the total weight.
 func (f *Fingerprint) canonicalize() {
-	sort.Slice(f.Streams, func(i, j int) bool {
-		if f.Streams[i].Weight != f.Streams[j].Weight {
-			return f.Streams[i].Weight > f.Streams[j].Weight
-		}
-		return Key(f.Streams[i].Seq) < Key(f.Streams[j].Seq)
-	})
+	slices.SortFunc(f.Streams, compareStreams)
 	f.Weight = 0
 	for _, s := range f.Streams {
 		f.Weight += s.Weight
 	}
+}
+
+// compareStreams is the canonical stream order: weight descending, then
+// sequence key ascending. Sequences in a fingerprint are distinct, so
+// the order is total and every sort yields the same result.
+func compareStreams(a, b Stream) int {
+	if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
+		return c
+	}
+	return compareSeqs(a.Seq, b.Seq)
+}
+
+// compareSeqs orders sequences as their keys (appendKey) order, without
+// building them: a key holds each symbol's bytes least significant
+// first, so byte order on one symbol is numeric order on its
+// byte-reversed value, and a proper prefix sorts first.
+func compareSeqs(a, b []uint64) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return cmp.Compare(bits.ReverseBytes64(a[i]), bits.ReverseBytes64(b[i]))
+		}
+	}
+	return cmp.Compare(len(a), len(b))
 }
 
 // New builds a session's fingerprint from its analysis snapshot.
@@ -118,28 +134,63 @@ func New(session string, snap *online.Snapshot) *Fingerprint {
 // associative — the result is independent of argument order — because
 // stream accumulation is integer addition and the output is
 // canonicalized.
+//
+// Streams are matched through an open-addressed table of indices into
+// the output, keyed by a hash of the sequence; a hit is confirmed by
+// comparing the sequences. Its allocations do not grow with the number
+// of streams.
 func Merge(fps ...*Fingerprint) *Fingerprint {
-	out := &Fingerprint{}
-	byKey := make(map[string]int)
+	total := 0
+	for _, f := range fps {
+		if f != nil {
+			total += len(f.Streams)
+		}
+	}
+	out := &Fingerprint{Streams: make([]Stream, 0, total)}
+	// slots holds output index+1 (0 is empty) at a load of at most 1/2;
+	// hashes[i] is the hash of out.Streams[i].Seq.
+	slots := make([]int32, max(2, 2<<bits.Len(uint(total))))
+	hashes := make([]uint64, 0, total)
+	mask := uint64(len(slots) - 1)
 	for _, f := range fps {
 		if f == nil {
 			continue
 		}
 		out.Sessions += f.Sessions
 		out.Refs += f.Refs
+	streams:
 		for _, s := range f.Streams {
-			k := Key(s.Seq)
-			i, ok := byKey[k]
-			if !ok {
-				byKey[k] = len(out.Streams)
-				out.Streams = append(out.Streams, s)
-				continue
+			h := hashSeq(s.Seq)
+			for p := h & mask; ; p = (p + 1) & mask {
+				i := int(slots[p]) - 1
+				if i < 0 {
+					slots[p] = int32(len(out.Streams) + 1)
+					out.Streams = append(out.Streams, s)
+					hashes = append(hashes, h)
+					continue streams
+				}
+				if hashes[i] == h && slices.Equal(out.Streams[i].Seq, s.Seq) {
+					out.Streams[i].Freq += s.Freq
+					out.Streams[i].Weight += s.Weight
+					out.Streams[i].Sessions += s.Sessions
+					continue streams
+				}
 			}
-			out.Streams[i].Freq += s.Freq
-			out.Streams[i].Weight += s.Weight
-			out.Streams[i].Sessions += s.Sessions
 		}
 	}
 	out.canonicalize()
 	return out
+}
+
+// hashSeq is a 64-bit hash of a sequence: a multiply-xorshift step per
+// symbol, seeded with the length, and a final avalanche.
+func hashSeq(seq []uint64) uint64 {
+	h := uint64(len(seq)) * 0x9e3779b97f4a7c15
+	for _, v := range seq {
+		h = (h ^ v) * 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	h ^= h >> 29
+	h *= 0x94d049bb133111eb
+	return h ^ h>>32
 }

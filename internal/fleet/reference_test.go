@@ -1,11 +1,18 @@
 package fleet
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime/debug"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/online"
 	"repro/internal/parallel"
 )
 
@@ -362,5 +369,204 @@ func TestPairKernelAllocs(t *testing.T) {
 	x, y := &a.streams[0], &b.streams[1]
 	if n := testing.AllocsPerRun(20, func() { sc.seqSim(x, y) }); n != 0 {
 		t.Errorf("seqSim over prepared features: %v allocs per call, want 0", n)
+	}
+}
+
+// Key renders the abstracted sequence for set comparison (8 bytes per
+// symbol, the internal/regress technique). It, canonicalizeReference
+// and mergeReference are the fingerprint order and merge this package
+// shipped before it compared sequences in place and merged through a
+// hashed table, kept unchanged as the oracle for both.
+func Key(seq []uint64) string {
+	return string(appendKey(make([]byte, 0, len(seq)*8), seq))
+}
+
+// canonicalizeReference sorts streams into the canonical order and recomputes
+// the total weight.
+func canonicalizeReference(f *Fingerprint) {
+	sort.Slice(f.Streams, func(i, j int) bool {
+		if f.Streams[i].Weight != f.Streams[j].Weight {
+			return f.Streams[i].Weight > f.Streams[j].Weight
+		}
+		return Key(f.Streams[i].Seq) < Key(f.Streams[j].Seq)
+	})
+	f.Weight = 0
+	for _, s := range f.Streams {
+		f.Weight += s.Weight
+	}
+}
+
+// mergeReference unions fingerprints into one fleet-wide fingerprint: streams
+// match by exact abstracted sequence, weights and occurrence counts
+// sum, and Sessions counts provenance. Merging is commutative and
+// associative — the result is independent of argument order — because
+// stream accumulation is integer addition and the output is
+// canonicalized.
+func mergeReference(fps ...*Fingerprint) *Fingerprint {
+	out := &Fingerprint{}
+	byKey := make(map[string]int)
+	for _, f := range fps {
+		if f == nil {
+			continue
+		}
+		out.Sessions += f.Sessions
+		out.Refs += f.Refs
+		for _, s := range f.Streams {
+			k := Key(s.Seq)
+			i, ok := byKey[k]
+			if !ok {
+				byKey[k] = len(out.Streams)
+				out.Streams = append(out.Streams, s)
+				continue
+			}
+			out.Streams[i].Freq += s.Freq
+			out.Streams[i].Weight += s.Weight
+			out.Streams[i].Sessions += s.Sessions
+		}
+	}
+	canonicalizeReference(out)
+	return out
+}
+
+// topStreamsReference is TopStreams over mergeReference.
+func topStreamsReference(fps []*Fingerprint, top int) StreamsView {
+	m := mergeReference(fps...)
+	v := StreamsView{
+		Sessions:     m.Sessions,
+		Refs:         m.Refs,
+		TotalWeight:  m.Weight,
+		TotalStreams: len(m.Streams),
+		Streams:      m.Streams,
+	}
+	if top > 0 && len(v.Streams) > top {
+		v.Streams = v.Streams[:top]
+	}
+	if v.Streams == nil {
+		v.Streams = []Stream{} // keep the JSON an array, never null
+	}
+	return v
+}
+
+// orderSymbols are symbols whose numeric order and key byte order
+// disagree (1 < 256 numerically, but 256's key sorts first), with values
+// at and above 1<<56, whose key differs only in its last byte.
+var orderSymbols = []uint64{0, 1, 2, 255, 256, 257, 511, 1 << 16, 1<<56 - 1, 1 << 56, 1<<56 + 1, 2 << 56, 1 << 63, math.MaxUint64}
+
+// tiePool draws a pool of distinct sequences over orderSymbols that holds
+// every proper prefix of each of its sequences.
+func tiePool(r *rand.Rand, n int) [][]uint64 {
+	seen := map[string]bool{}
+	var pool [][]uint64
+	for len(pool) < n {
+		seq := make([]uint64, 1+r.Intn(5))
+		for i := range seq {
+			seq[i] = orderSymbols[r.Intn(len(orderSymbols))]
+		}
+		for l := 1; l <= len(seq) && len(pool) < n; l++ {
+			if k := Key(seq[:l]); !seen[k] {
+				seen[k] = true
+				pool = append(pool, seq[:l:l])
+			}
+		}
+	}
+	return pool
+}
+
+// tieFingerprint draws distinct streams from pool with one of two
+// weights, so most comparisons fall through to the sequence order.
+func tieFingerprint(r *rand.Rand, session string, pool [][]uint64) *Fingerprint {
+	f := &Fingerprint{Session: session, Sessions: 1, Refs: uint64(1 + r.Intn(1000))}
+	for _, i := range r.Perm(len(pool))[:r.Intn(len(pool)+1)] {
+		w := uint64(12 << r.Intn(2))
+		f.Streams = append(f.Streams, Stream{Seq: pool[i], Length: len(pool[i]), Freq: uint64(1 + r.Intn(9)), Weight: w, Sessions: 1})
+	}
+	return f
+}
+
+// cloneFingerprint copies f's stream list, so two sorts do not share it.
+func cloneFingerprint(f *Fingerprint) *Fingerprint {
+	c := *f
+	c.Streams = slices.Clone(f.Streams)
+	return &c
+}
+
+// TestCanonicalOrderMatchesReference holds the in-place comparator, the
+// hashed merge and the views built on them to the Key-string oracle over
+// random fleets of heavily tied weights, sequences that are prefixes of
+// each other, and symbols whose numeric and key byte orders disagree:
+// the same stream order, weights and Sessions, and the same TopStreams
+// and ClusterView bytes.
+func TestCanonicalOrderMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for round := 0; round < 200; round++ {
+		pool := tiePool(r, 2+r.Intn(40))
+		for i := 0; i < 64; i++ {
+			a, b := pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]
+			if got, want := compareSeqs(a, b), strings.Compare(Key(a), Key(b)); got != want {
+				t.Fatalf("compareSeqs(%v, %v) = %d, key order %d", a, b, got, want)
+			}
+		}
+		fps := make([]*Fingerprint, 1+r.Intn(6))
+		refs := make([]*Fingerprint, len(fps))
+		for i := range fps {
+			raw := tieFingerprint(r, fmt.Sprintf("s%d", i), pool)
+			fps[i], refs[i] = cloneFingerprint(raw), cloneFingerprint(raw)
+			fps[i].canonicalize()
+			canonicalizeReference(refs[i])
+			if !reflect.DeepEqual(fps[i], refs[i]) {
+				t.Fatalf("round %d: canonical order %v, reference %v", round, fps[i].Streams, refs[i].Streams)
+			}
+		}
+		got, want := Merge(fps...), mergeReference(refs...)
+		if !slices.EqualFunc(got.Streams, want.Streams, func(a, b Stream) bool { return reflect.DeepEqual(a, b) }) ||
+			got.Weight != want.Weight || got.Sessions != want.Sessions || got.Refs != want.Refs {
+			t.Fatalf("round %d: Merge %+v, reference %+v", round, got, want)
+		}
+		for _, top := range []int{0, 3} {
+			if got, want := mustJSON(t, TopStreams(fps, top)), mustJSON(t, topStreamsReference(refs, top)); got != want {
+				t.Fatalf("round %d top=%d: TopStreams\n%s\nreference\n%s", round, top, got, want)
+			}
+		}
+		if got, want := mustJSON(t, ClusterView(fps, 0.3, 2)), mustJSON(t, ClusterView(refs, 0.3, 2)); got != want {
+			t.Fatalf("round %d: ClusterView\n%s\nreference\n%s", round, got, want)
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// tiedSnapshot is a snapshot of n distinct hot streams of one heat.
+func tiedSnapshot(n int) *online.Snapshot {
+	snap := &online.Snapshot{}
+	for i := 0; i < n; i++ {
+		snap.HotStreams.Streams = append(snap.HotStreams.Streams, online.StreamStat{
+			Length: 4, Freq: 3, Heat: 12,
+			Seq: []uint64{uint64(i % 7), uint64(i), uint64(i) << 8, 1},
+		})
+	}
+	return snap
+}
+
+// TestFingerprintAllocs pins that fingerprinting allocates the same at
+// any stream count when every weight ties, and that TopStreams allocates
+// nothing per stream: ordering compares sequences in place, and Merge
+// matches streams through one hashed table.
+func TestFingerprintAllocs(t *testing.T) {
+	small, large := tiedSnapshot(64), tiedSnapshot(4096)
+	nSmall := testing.AllocsPerRun(10, func() { New("s", small) })
+	nLarge := testing.AllocsPerRun(10, func() { New("s", large) })
+	if nLarge > nSmall {
+		t.Errorf("New: %v allocs at 4096 tied streams, %v at 64; want no growth", nLarge, nSmall)
+	}
+	fps := []*Fingerprint{New("a", large), New("b", tiedSnapshot(2048)), New("c", small)}
+	if n := testing.AllocsPerRun(10, func() { TopStreams(fps, DefaultTop) }); n > 4 {
+		t.Errorf("TopStreams over %d streams: %v allocs, want at most 4", 4096+2048+64, n)
 	}
 }

@@ -43,7 +43,7 @@ func cmpBigram(x, y bigram) int {
 // once per comparison call instead of once per pair.
 type streamFeatures struct {
 	seq []uint64
-	// key is Key(seq): equal keys mean equal sequences.
+	// key is seq's appendKey bytes: equal keys mean equal sequences.
 	key string
 	// bigrams and syms are the stream's adjacent pairs and symbols,
 	// sorted and unique, so Jaccard is a merge count and "shares a

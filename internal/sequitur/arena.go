@@ -27,8 +27,8 @@ import "fmt"
 // abandoned backing array, which the repro_sanitize invariant sweep and
 // the fuzz targets surface as link corruption. Rules are likewise named
 // by uint32 handles (ruleID) indexing a per-grammar slot table; the
-// *Rule objects themselves stay ordinary heap values because the public
-// analysis API (DAG, RHS.Refs) hands them out.
+// *Rule objects themselves stay ordinary heap values: Grammar.Root and
+// Grammar.Rules hand them out, though only tests call either.
 //
 // Symbols and rules die constantly during construction — every digram
 // promotion discards two symbols, rule-utility inlining deletes rules,

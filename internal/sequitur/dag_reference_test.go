@@ -12,6 +12,39 @@ import (
 	"repro/internal/workload"
 )
 
+// RHS describes one rule's right-hand side for the oracles: for each
+// position, either a terminal value or a reference to another rule.
+type RHS struct {
+	// Terminals[i] is valid when Refs[i] == nil.
+	Terminals []uint64
+	// Refs[i] is non-nil for nonterminal positions.
+	Refs []*Rule
+}
+
+// Len returns the number of RHS positions.
+func (h RHS) Len() int { return len(h.Refs) }
+
+// RHS materializes the rule's right-hand side.
+func (r *Rule) RHS() RHS {
+	g := r.g
+	var h RHS
+	for si := r.first(); ; {
+		s := g.at(si)
+		if s.isGuard() {
+			break
+		}
+		if s.rule != nilRule {
+			h.Refs = append(h.Refs, g.ruleAt(s.rule))
+			h.Terminals = append(h.Terminals, 0)
+		} else {
+			h.Refs = append(h.Refs, nil)
+			h.Terminals = append(h.Terminals, s.value)
+		}
+		si = s.next
+	}
+	return h
+}
+
 // refDAG is the map-based DAG construction the flat DAG replaced, kept
 // as an oracle: rules keyed by ID in maps, right-hand sides materialized
 // per rule, affixes as one slice per rule, expansion lengths in a map.

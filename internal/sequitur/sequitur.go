@@ -466,39 +466,6 @@ func (g *Grammar) expand(si symID) {
 	g.arena.freeRule(r)
 }
 
-// RHS describes one rule's right-hand side for analysis: for each position,
-// either a terminal value or a reference to another rule.
-type RHS struct {
-	// Terminals[i] is valid when Refs[i] == nil.
-	Terminals []uint64
-	// Refs[i] is non-nil for nonterminal positions.
-	Refs []*Rule
-}
-
-// Len returns the number of RHS positions.
-func (h RHS) Len() int { return len(h.Refs) }
-
-// RHS materializes the rule's right-hand side.
-func (r *Rule) RHS() RHS {
-	g := r.g
-	var h RHS
-	for si := r.first(); ; {
-		s := g.at(si)
-		if s.isGuard() {
-			break
-		}
-		if s.rule != nilRule {
-			h.Refs = append(h.Refs, g.ruleAt(s.rule))
-			h.Terminals = append(h.Terminals, 0)
-		} else {
-			h.Refs = append(h.Refs, nil)
-			h.Terminals = append(h.Terminals, s.value)
-		}
-		si = s.next
-	}
-	return h
-}
-
 // Rules returns all live rules indexed by ID.
 func (g *Grammar) Rules() map[uint64]*Rule {
 	out := make(map[uint64]*Rule, g.nRules)

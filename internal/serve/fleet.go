@@ -12,8 +12,9 @@ import (
 )
 
 // Fleet endpoints: cross-session analysis over this server's live
-// engines. /v1/fleet/fingerprints is the raw per-session material (what
-// the gateway pulls to merge across shards); streams, clusters, and
+// engines. /v1/fleet/fingerprints is the raw per-session material, and
+// /v1/fleet/gather serves the same listing in the varint gather form
+// the gateway pulls to merge across shards; streams, clusters, and
 // drift are the computed views. Fingerprints, streams and clusters are
 // FleetView routes (routes.go): their query parsing and view function
 // run unchanged on a single node and on the gateway's merged
@@ -34,6 +35,13 @@ func (s *Server) fingerprints() []*fleet.Fingerprint {
 		}
 	}
 	return out
+}
+
+// handleGather serves this shard's fingerprint listing in the gather
+// form: GET /v1/fleet/gather.
+func (s *Server) handleGather(w http.ResponseWriter, _ *http.Request, _ string) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_ = fleet.EncodeFingerprints(w, fleet.BuildFingerprintsView(s.fingerprints()))
 }
 
 // handleFleetDrift serves the profile-drift view: GET

@@ -77,14 +77,18 @@ var (
 	getOrHead = []string{http.MethodGet, http.MethodHead}
 )
 
-// fingerprintsPath is the route a gateway gathers FleetView input from.
-const fingerprintsPath = "/v1/fleet/fingerprints"
+// gatherPath is the shard-only route a gateway gathers FleetView input
+// from: the fingerprint listing in the varint gather form
+// (fleet.EncodeFingerprints), which a gateway decodes in a fraction of
+// the JSON listing's time.
+const gatherPath = "/v1/fleet/gather"
 
 // Routes is the /v1 API.
 var Routes = []Route{
 	{Path: "/v1/ingest", Methods: onlyPost, Session: NeedSession, Class: Owner, Local: (*Server).handleIngest},
 	{Path: "/v1/close", Methods: onlyPost, Session: NeedSession, Class: Owner, Local: (*Server).handleClose},
 	{Path: "/v1/drain", Methods: onlyPost, Class: ShardOnly, Local: (*Server).handleDrain},
+	{Path: gatherPath, Methods: onlyGet, Class: ShardOnly, Local: (*Server).handleGather},
 	{Path: "/v1/history", Methods: onlyGet, Class: AnyShard, Local: (*Server).handleHistory},
 	// HEAD answers without building the listing: the cheap liveness
 	// probe the gateway's shard health checker sends every cycle.
@@ -106,7 +110,7 @@ var Routes = []Route{
 	{Path: "/v1/metrics", Methods: onlyGet, Class: FanOut,
 		Local: func(s *Server, w http.ResponseWriter, _ *http.Request, _ string) { WriteJSON(w, s.opts.Obs.Snapshot()) },
 		Merge: mergeMetrics},
-	{Path: fingerprintsPath, Methods: onlyGet, Class: FleetView,
+	{Path: "/v1/fleet/fingerprints", Methods: onlyGet, Class: FleetView,
 		View: func(url.Values) (ViewFunc, error) {
 			return func(fps []*fleet.Fingerprint, _ int) any { return fleet.BuildFingerprintsView(fps) }, nil
 		}},
@@ -192,7 +196,7 @@ func (rt *Route) Gather(u *url.URL, workers int) (string, func(bodies [][]byte) 
 		return rt.Path + "?" + u.RawQuery, func(bodies [][]byte) (any, error) { return rt.Merge(q, bodies) }, nil
 	}
 	view, err := rt.View(q)
-	return fingerprintsPath, func(bodies [][]byte) (any, error) {
+	return gatherPath, func(bodies [][]byte) (any, error) {
 		fps, err := mergeFingerprints(bodies)
 		if err != nil {
 			return nil, err
@@ -212,21 +216,17 @@ func decodeEach[T any](bodies [][]byte) ([]T, error) {
 	return out, nil
 }
 
-// mergeFingerprints unions the shards' fingerprint listings: each
-// session lives on one shard, so this is the set a single node holding
-// every session would fingerprint. A null entry is an error: the views
-// dereference every fingerprint, and a shard never lists one.
+// mergeFingerprints unions the shards' fingerprint listings, each in
+// the gather form: each session lives on one shard, so this is the set a
+// single node holding every session would fingerprint.
 func mergeFingerprints(bodies [][]byte) ([]*fleet.Fingerprint, error) {
-	parts, err := decodeEach[fleet.FingerprintsView](bodies)
-	if err != nil {
-		return nil, err
-	}
 	var fps []*fleet.Fingerprint
-	for i, p := range parts {
-		if j := slices.Index(p.Fingerprints, nil); j >= 0 {
-			return nil, fmt.Errorf("shard answer %d of %d: fingerprint %d is null", i+1, len(parts), j+1)
+	for i, b := range bodies {
+		v, err := fleet.DecodeFingerprints(b)
+		if err != nil {
+			return nil, fmt.Errorf("shard answer %d of %d: %w", i+1, len(bodies), err)
 		}
-		fps = append(fps, p.Fingerprints...)
+		fps = append(fps, v.Fingerprints...)
 	}
 	return fps, nil
 }

@@ -52,6 +52,16 @@ func (w *Writer) Uvarint(v uint64) {
 	w.Bytes(w.buf[:binary.PutUvarint(w.buf[:], v)])
 }
 
+// String writes s as its byte length, then its bytes.
+func (w *Writer) String(s string) {
+	w.Uvarint(uint64(len(s)))
+	if w.err == nil {
+		n, err := w.bw.WriteString(s)
+		w.n += int64(n)
+		w.err = err
+	}
+}
+
 // Bool writes b as the varint 0 or 1.
 func (w *Writer) Bool(b bool) {
 	var v uint64
@@ -144,6 +154,35 @@ func (r *Reader) Count(field string, max uint64) uint64 {
 		return 0
 	}
 	return v
+}
+
+// String reads a string written by Writer.String whose length must not
+// exceed max.
+func (r *Reader) String(field string, max uint64) string {
+	n := r.Count(field, max)
+	if r.err != nil || n == 0 {
+		return ""
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		r.fail(field, err)
+		return ""
+	}
+	return string(b)
+}
+
+// End fails unless the stream has no bytes left: a format that ends
+// with its last field takes trailing bytes for a corrupt stream.
+func (r *Reader) End() {
+	if r.err != nil {
+		return
+	}
+	r.at = r.off
+	if _, err := r.ReadByte(); err == nil {
+		r.Failf("trailing bytes")
+	} else if err != io.EOF {
+		r.fail("end", err)
+	}
 }
 
 // Bool reads a flag written by Writer.Bool.

@@ -64,6 +64,12 @@ func TestReaderErrors(t *testing.T) {
 			func(r *Reader) { r.Bool("flag") }},
 		{"u32", "TEST\x80\x80\x80\x80\x10", "test at offset 4: key 4294967296 exceeds 4294967295",
 			func(r *Reader) { r.U32("key") }},
+		{"string over max", "TEST\x09abc", "test at offset 4: name 9 exceeds 8",
+			func(r *Reader) { r.String("name", 8) }},
+		{"truncated string", "TEST\x04abc", "test at offset 4: name: unexpected EOF",
+			func(r *Reader) { r.String("name", 8) }},
+		{"trailing bytes", "TEST\x05\x07", "test at offset 5: trailing bytes",
+			func(r *Reader) { r.Uvarint("first"); r.End() }},
 		{"failf", "TEST\x05\x07", "test at offset 5: second 7 is odd",
 			func(r *Reader) {
 				r.Uvarint("first")
@@ -88,6 +94,25 @@ func TestReaderErrors(t *testing.T) {
 		if r.Err() != err {
 			t.Errorf("%s: first error replaced by %v", tc.name, r.Err())
 		}
+	}
+}
+
+// TestStringAndEnd: strings round-trip, an empty one included, and End
+// accepts a stream read to its last byte.
+func TestStringAndEnd(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, magic)
+	w.String("session")
+	w.String("")
+	w.Uvarint(9)
+	if _, err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&buf, "test", magic)
+	a, b, v := r.String("a", 64), r.String("b", 64), r.Uvarint("v")
+	r.End()
+	if err := r.Err(); err != nil || a != "session" || b != "" || v != 9 {
+		t.Fatalf("read %q, %q, %d: %v", a, b, v, err)
 	}
 }
 
